@@ -280,9 +280,10 @@ def _evidence_bounded(evidence) -> bool:
     if isinstance(evidence, GrowthEnvelope):
         return evidence.bounded
     try:
-        return all(_evidence_bounded(e) for e in evidence) and len(list(evidence)) > 0
+        items = list(evidence)
     except TypeError:
         return False
+    return len(items) > 0 and all(_evidence_bounded(e) for e in items)
 
 
 # ---------------------------------------------------------------------------

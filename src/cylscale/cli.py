@@ -237,7 +237,7 @@ def cmd_exponents(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     row = [float(p.s), float(p.l), float(p.m0), float(p.kappa),
            float(p.q_interp), float(p.alpha), float(p.m), float(p.m1),
            float(p.gamma_profile), p.strong_admissible,
-           float(p.m0_lower_bound)]
+           None if p.m0_lower_bound is None else float(p.m0_lower_bound)]
     _emit(outdir, "exponents", fmt, header, [row], record)
     return EXIT_OK
 

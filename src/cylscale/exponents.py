@@ -79,6 +79,11 @@ class ExponentParams:
         return self.sl.l
 
 
+def kappa(s: Number, l: Number) -> Number:
+    """The mixed-norm weight kappa = l (3/s + 2/l - 1)."""
+    return l * (3 / s + 2 / l - 1)
+
+
 def strong_admissibility(s: Number, l: Number) -> bool:
     """Strict window 1 > 3/s + 2/l - 1 > 1/2 + max(1/(2l), 1/2 - 1/l)."""
     if s < 1 or l < 1:
@@ -118,33 +123,33 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
     half = _half(exact)
 
     mid = 3 / s + 2 / l - 1  # the quantity the admissibility window bounds
-    kappa = l * mid
+    k = kappa(s, l)
     q_interp = 2 * l * (mid - half)
 
     base = l * (3 / s + 1)
-    denom = base + (m0 - 1) * kappa
+    denom = base + (m0 - 1) * k
     if denom == 0:
         raise DegenerateInputError(
             f"alpha undefined: l*(3/s + 1) + (m0 - 1)*kappa = 0 for s={s}, l={l}, m0={m0}"
         )
-    alpha = (base - (m0 - 1) * kappa) / denom
+    alpha = (base - (m0 - 1) * k) / denom
     m = 2 - alpha
     m1 = 2 * m - 1
     gamma_profile = mid * (1 - m0) + 1
 
     strong = strong_admissibility(s, l)
-    weak = l > kappa
-    window = l > kappa > 0
+    weak = l > k
+    window = l > k > 0
     ordered = alpha > 1 and m1 < m < 1
 
     m0_bound = None
-    if kappa > 0:
+    if k > 0:
         m0_bound = 2 * (6 / s + 5 / l - 3) / (5 * mid)
 
     return ExponentParams(
         sl=SLPair(s, l),
         m0=m0,
-        kappa=kappa,
+        kappa=k,
         q_interp=q_interp,
         alpha=alpha,
         m=m,
@@ -279,10 +284,10 @@ def construct_profile_exponents(
 
 def _finish_construction(m0, a, delta, interval, s, l, branch):
     mid = 3 / s + 2 / l - 1
-    kappa = l * mid
+    k = kappa(s, l)
     gamma = mid * (1 - m0) + 1
     # radius exponent of the attenuated mixed norm of the profile
-    certificate = -kappa * m0 + (2 - (1 - a) * gamma * l) + (3 - a * s * gamma) * l / s
+    certificate = -k * m0 + (2 - (1 - a) * gamma * l) + (3 - a * s * gamma) * l / s
     integrable = (1 / l > gamma * (1 - a) / 2) and (1 / s > gamma * a / 3)
     strong = strong_admissibility(s, l)
     edge_check = None
@@ -298,7 +303,7 @@ def _finish_construction(m0, a, delta, interval, s, l, branch):
         s=s,
         l=l,
         gamma=gamma,
-        kappa=kappa,
+        kappa=k,
         exponent_certificate=certificate,
         integrable=integrable,
         strong_admissible=strong,
@@ -450,15 +455,15 @@ def weighted_kappa(s: Number, l: Number, n: Number) -> WeightedKappa:
     l = _n(l, exact)
     n = _n(n, exact)
     half = _half(exact)
-    kappa = l * (3 / s + 2 / l - 1)
+    k = kappa(s, l)
     q = 2 * l * (3 / s + 2 / l - 3 * half)
-    kappa_n = n * kappa + q * (1 - n)
+    kappa_n = n * k + q * (1 - n)
     m0_star = None
     interior = None
-    if kappa > 0:
-        m0_star = kappa_n / kappa
+    if k > 0:
+        m0_star = kappa_n / k
         interior = 0 < m0_star < 1
     return WeightedKappa(
-        n=n, kappa=kappa, q_interp=q, kappa_n=kappa_n,
+        n=n, kappa=k, q_interp=q, kappa_n=kappa_n,
         m0_star=m0_star, m0_star_interior=interior,
     )

@@ -324,13 +324,16 @@ def _check_time(t):
 # sampled fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridField:
     """Cell-centered samples of a velocity/pressure pair on a cylinder.
 
     ``velocity`` has shape (Nt, N, N, N, 3) and ``pressure`` (Nt, N, N, N);
-    axis order is (t, x1, x2, x3).  Immutable by convention after
-    construction; the discrete divergence residual is recorded up front.
+    axis order is (t, x1, x2, x3).  Immutable: construction marks both
+    sample arrays read-only, and the discrete divergence residual is
+    recorded up front.  The quantities layer caches ball moments per field
+    in ``_ball_cache``, which is only valid because the samples cannot
+    change.
     """
 
     cylinder: CylinderSpec
@@ -341,6 +344,8 @@ class GridField:
     radial_power: float = 0.0
     time_power: float = 0.0
     div_residual: float = dc_field(default=0.0)
+    _ball_cache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.n_space < 2 or self.n_time < 2:
@@ -350,7 +355,9 @@ class GridField:
             raise ValueError("sample arrays do not match the declared resolutions")
         if not (np.all(np.isfinite(self.velocity)) and np.all(np.isfinite(self.pressure))):
             raise NonFiniteSampleError("non-finite samples in grid field")
-        self.div_residual = divergence_residual(self)
+        self.velocity.flags.writeable = False
+        self.pressure.flags.writeable = False
+        object.__setattr__(self, "div_residual", divergence_residual(self))
 
     @property
     def space_axis(self) -> np.ndarray:
@@ -468,22 +475,26 @@ def evaluate(profile: Profile, x, t):
 
 
 def write_grid_csv(field: GridField, csv_path, sidecar_path=None) -> None:
-    """Flat CSV (x1,x2,x3,t,u1,u2,u3,p per node) plus a JSON sidecar."""
+    """Flat CSV (x1,x2,x3,t,u1,u2,u3,p per node) plus a JSON sidecar.
+
+    Floats are written with repr, so read_grid_csv restores them exactly.
+    """
     axis = field.space_axis
-    times = field.times
+    cells = field.n_space**3
+    table = np.empty((cells, 8))
+    table[:, :3] = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                            axis=-1).reshape(cells, 3)
+    velocity = field.velocity.reshape(field.n_time, cells, 3)
+    pressure = field.pressure.reshape(field.n_time, cells)
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x1", "x2", "x3", "t", "u1", "u2", "u3", "p"])
-        for j, t in enumerate(times):
-            for i1, x1 in enumerate(axis):
-                for i2, x2 in enumerate(axis):
-                    for i3, x3 in enumerate(axis):
-                        u = field.velocity[j, i1, i2, i3]
-                        w.writerow(
-                            [repr(float(v)) for v in (x1, x2, x3, t)]
-                            + [repr(float(v)) for v in u]
-                            + [repr(float(field.pressure[j, i1, i2, i3]))]
-                        )
+        # one time slice at a time bounds the Python floats held at once
+        for j, t in enumerate(field.times):
+            table[:, 3] = t
+            table[:, 4:7] = velocity[j]
+            table[:, 7] = pressure[j]
+            w.writerows(table.tolist())
     if sidecar_path is not None:
         sidecar = {
             "cylinder": {
@@ -507,23 +518,16 @@ def read_grid_csv(csv_path, sidecar_path) -> GridField:
     with open(sidecar_path) as fh:
         meta = json.load(fh)
     n, nt = meta["n_space"], meta["n_time"]
-    vel = np.empty((nt, n, n, n, 3))
-    prs = np.empty((nt, n, n, n))
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         rows = list(reader)
     if len(rows) != nt * n**3:
         raise ValueError("row count does not match the sidecar resolutions")
-    idx = 0
-    for j in range(nt):
-        for i1 in range(n):
-            for i2 in range(n):
-                for i3 in range(n):
-                    row = rows[idx]
-                    vel[j, i1, i2, i3] = [float(v) for v in row[4:7]]
-                    prs[j, i1, i2, i3] = float(row[7])
-                    idx += 1
+    data = np.fromiter((float(v) for row in rows for v in row[4:8]), dtype=float,
+                       count=4 * len(rows)).reshape(nt, n, n, n, 4)
+    vel = np.ascontiguousarray(data[..., :3])
+    prs = np.ascontiguousarray(data[..., 3])
     cyl = CylinderSpec(**meta["cylinder"])
     return GridField(
         cylinder=cyl,

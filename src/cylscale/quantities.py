@@ -21,7 +21,7 @@ from .errors import (
     ResolutionError,
     SupportError,
 )
-from .exponents import ExponentParams
+from .exponents import ExponentParams, kappa
 from .fields import GridField, Profile, SelfSimilarProfile
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -130,12 +130,6 @@ def _vec(f):
 # GridField reductions
 
 
-def _grid_mask(field: GridField, r: float):
-    axis = field.space_axis
-    xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-    return xx**2 + yy**2 + zz**2 < r**2
-
-
 def _grid_times_in(field: GridField, T: float):
     times = field.times
     sel = times > -T
@@ -146,33 +140,58 @@ def _grid_times_in(field: GridField, T: float):
     return np.nonzero(sel)[0], field.cylinder.time_depth / field.n_time
 
 
-def _grid_ball_power(field: GridField, kind: str, p: float, r: float):
-    """Per-time-sample int_{B(r)} |field|^p dx from the grid's own cells."""
-    mask = _grid_mask(field, r)
-    w = field.cell_size**3
-    if kind == "speed":
-        vals = np.linalg.norm(field.velocity, axis=-1)
-    elif kind == "pressure":
-        vals = np.abs(field.pressure)
-    else:
-        vals = field.pressure  # unused
-    return np.array([float(np.sum(vals[j][mask] ** p)) * w for j in range(field.n_time)])
+def _grid_shells(field: GridField):
+    """(shell_d2, shell_of_cell): the distinct squared centre distances in
+    increasing order and each cell's index into them, built once per field."""
+    cache = field._ball_cache
+    if "shells" not in cache:
+        a2 = field.space_axis**2
+        # summed in the order of xx**2 + yy**2 + zz**2 over a meshgrid, so
+        # the strict test d2 < r**2 picks the cells a meshgrid mask would
+        d2 = a2[:, None, None] + a2[None, :, None] + a2[None, None, :]
+        cache["shells"] = np.unique(d2.ravel(), return_inverse=True)
+    return cache["shells"]
 
 
-def _grid_ball_gradsq(field: GridField, r: float):
-    mask = _grid_mask(field, r)
-    h = field.cell_size
-    w = h**3
-    out = np.empty(field.n_time)
-    for j in range(field.n_time):
-        u = field.velocity[j]
-        g = np.zeros(u.shape[:-1])
+def _grid_cell_moment(field: GridField, key) -> np.ndarray:
+    """Per-cell values of a moment key, shape (Nt, N, N, N).
+
+    Keys: ("speed", p) for |v|^p, ("pressure", p) for |q|^p and ("gradsq",)
+    for |grad v|^2 by centered differences.
+    """
+    if key[0] == "gradsq":
+        h = field.cell_size
+        g = np.zeros(field.pressure.shape)
         for comp in range(3):
-            for ax in range(3):
-                d = np.gradient(u[..., comp], h, axis=ax)
+            u = field.velocity[..., comp]
+            for ax in (1, 2, 3):
+                d = np.gradient(u, h, axis=ax)
                 g += d * d
-        out[j] = float(np.sum(g[mask])) * w
-    return out
+        return g
+    kind, p = key
+    if kind == "speed":
+        v = field.velocity
+        return np.sqrt(np.einsum("...i,...i->...", v, v)) ** p
+    return np.abs(field.pressure) ** p
+
+
+def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
+    """Per-time-sample integral over B(r) of a moment, from the grid's cells.
+
+    Each moment is reduced once per field to an (Nt, n_shells + 1) table of
+    prefix sums over the radius shells; a ball sum is one column of it.
+    """
+    shell_d2, shell_of_cell = _grid_shells(field)
+    table = field._ball_cache.get(key)
+    if table is None:
+        vals = _grid_cell_moment(field, key).reshape(field.n_time, -1)
+        table = np.zeros((field.n_time, shell_d2.size + 1))
+        for row, cells in zip(table, vals):
+            np.cumsum(np.bincount(shell_of_cell, weights=cells,
+                                  minlength=shell_d2.size), out=row[1:])
+        field._ball_cache[key] = table
+    k = np.searchsorted(shell_d2, r**2, side="left")
+    return table[:, k] * field.cell_size**3
 
 
 def max_radius(field) -> float:
@@ -204,8 +223,7 @@ def sup_weighted_mass(field, r: float, weight: float,
     T = mu * r**2
     if isinstance(field, GridField):
         idx, _ = _grid_times_in(field, T)
-        per_time = _grid_ball_power(field, "speed", 2.0, r)
-        vals = per_time[idx]
+        vals = _grid_ball_sums(field, ("speed", 2.0), r)[idx]
     else:
         if times is None:
             times = centered_times(T, cfg.n_time)
@@ -221,7 +239,7 @@ def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
     T = mu * r**2
     if isinstance(field, GridField):
         idx, dt = _grid_times_in(field, T)
-        per_time = _grid_ball_power(field, kind, p, r)
+        per_time = _grid_ball_sums(field, (kind, p), r)
         return r ** (-weight) * float(np.sum(per_time[idx])) * dt
     sep = _separable_powers(field, kind)
     e = sep[2] * p if sep is not None else None
@@ -238,7 +256,7 @@ def cylinder_gradsq_integral(field, r: float, weight: float,
     T = mu * r**2
     if isinstance(field, GridField):
         idx, dt = _grid_times_in(field, T)
-        per_time = _grid_ball_gradsq(field, r)
+        per_time = _grid_ball_sums(field, ("gradsq",), r)
         return r ** (-weight) * float(np.sum(per_time[idx])) * dt
     sep = _separable_powers(field, "speed")
     e = 2 * sep[2] if sep is not None else None
@@ -255,19 +273,19 @@ def m_quantity(field, R: float, s: float, l: float, m0: float,
     M_att = R**((1-m0) kappa) * M.
     """
     _check_radius(field, R)
-    kappa = l * (3.0 / s + 2.0 / l - 1.0)
+    k = kappa(s, l)
     T = mu * R**2
     if isinstance(field, GridField):
         idx, dt = _grid_times_in(field, T)
-        S = _grid_ball_power(field, "speed", s, R)
-        M = R ** (-kappa) * float(np.sum(S[idx] ** (l / s))) * dt
+        S = _grid_ball_sums(field, ("speed", s), R)
+        M = R ** (-k) * float(np.sum(S[idx] ** (l / s))) * dt
     else:
         sep = _separable_powers(field, "speed")
         e = sep[2] * l if sep is not None else None  # (b*s)*(l/s)
         steady = getattr(field, "steady", False)
         G = lambda t: _ball_power_integral(field, "speed", s, R, t, cfg) ** (l / s)
-        M = R ** (-kappa) * _time_integrate(G, e, T, cfg, steady)
-    return M, R ** ((1.0 - m0) * kappa) * M
+        M = R ** (-k) * _time_integrate(G, e, T, cfg, steady)
+    return M, R ** ((1.0 - m0) * k) * M
 
 
 def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
@@ -280,13 +298,13 @@ def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
 
     Raises DivergentIntegralError when either separated integral is infinite.
     """
-    kappa = l * (3.0 / s + 2.0 / l - 1.0)
+    k = kappa(s, l)
     radial = power_radial_integral(-alpha_p * gamma_p * s, R)  # R**(3-a s g)/(3-a s g)
     bl = -(1 - alpha_p) * gamma_p * l / 2.0
     time_factor = power_time_integral(bl, R**2)
-    value = c**l * (FOUR_PI * radial) ** (l / s) * time_factor * R ** (-kappa * m0)
+    value = c**l * (FOUR_PI * radial) ** (l / s) * time_factor * R ** (-k * m0)
     r_exponent = (
-        -kappa * m0
+        -k * m0
         + (2.0 - (1 - alpha_p) * gamma_p * l)
         + (3.0 - alpha_p * s * gamma_p) * l / s
     )

@@ -172,6 +172,17 @@ class TestLiouville:
         record = v.to_json_dict()
         assert record["verdict"] == "Trivial"
 
+    def test_generator_evidence_accepted(self):
+        env = growth_envelope(lambda rho: np.where(rho < 1.0, 1.0, 0.0),
+                              exponent=0.1, ladder=[2.0**j for j in range(1, 6)],
+                              radial=True)
+        v = liouville_verdict(0.55, 0.5, evidence=(e for e in [env, True]))
+        assert v.verdict == "Trivial"
+        assert v.checklist["evidence_bounded"] is True
+
+    def test_empty_evidence_inconclusive(self):
+        assert liouville_verdict(0.55, 0.5, evidence=iter(())).verdict == "Inconclusive"
+
     def test_unbounded_evidence_inconclusive(self):
         env = growth_envelope(lambda rho: rho, exponent=0.0,
                               ladder=[2.0**j for j in range(6)], radial=True)

@@ -57,6 +57,18 @@ class TestExponentsCommand:
         assert rec["kappa"] == "11/5"
         assert "provenance" in rec
 
+    def test_nonpositive_kappa_emits_no_m0_bound(self, tmp_path):
+        # s = l = 10 gives kappa = 10 (3/10 + 2/10 - 1) < 0: no m0 bound
+        assert run(tmp_path, "exponents", "exponents.s=10",
+                   "exponents.l=10") == EXIT_OK
+        assert read_json(tmp_path, "exponents")["m0_lower_bound"] is None
+        rec = dict(zip(*read_csv(tmp_path, "exponents")))
+        assert rec["m0_lower_bound"] == ""
+        # a rational bound stays a float in the CSV row
+        assert run(tmp_path, "exponents") == EXIT_OK
+        rec = dict(zip(*read_csv(tmp_path, "exponents")))
+        assert float(rec["m0_lower_bound"]) == pytest.approx(26 / 55, rel=1e-15)
+
     def test_invalid_input_exit_code(self, tmp_path):
         assert run(tmp_path, "exponents", "exponents.s=0.5") == EXIT_INVALID
 

@@ -1,5 +1,8 @@
 """Tests for profiles, grids and field I/O."""
 
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +176,32 @@ class TestGrid:
         assert g.cylinder == f.cylinder
         assert np.array_equal(g.velocity, f.velocity)
         assert np.array_equal(g.pressure, f.pressure)
+
+    def test_csv_matches_per_row_repr_writer(self, tmp_path):
+        f = sample(PowerLawProfile(c=0.9, alpha_p=0.6, gamma_p=1.15),
+                   CylinderSpec(1.0, lam=0.7, mu=1.3), 4, 3)
+        write_grid_csv(f, tmp_path / "field.csv")
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x1", "x2", "x3", "t", "u1", "u2", "u3", "p"])
+            for j, t in enumerate(f.times):
+                for i1, x1 in enumerate(f.space_axis):
+                    for i2, x2 in enumerate(f.space_axis):
+                        for i3, x3 in enumerate(f.space_axis):
+                            w.writerow([repr(float(v)) for v in (x1, x2, x3, t)]
+                                       + [repr(float(v)) for v in f.velocity[j, i1, i2, i3]]
+                                       + [repr(float(f.pressure[j, i1, i2, i3]))])
+        assert (tmp_path / "field.csv").read_bytes() == ref.read_bytes()
+
+    def test_grid_field_immutable(self):
+        f = sample(SteadyShearProfile(1.0, 2.0), CylinderSpec(1.0), 4, 2)
+        with pytest.raises(ValueError):
+            f.velocity[0, 0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.pressure[0, 0, 0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.velocity = np.zeros_like(f.velocity)
 
     def test_bad_cylinder(self):
         with pytest.raises(ValueError):

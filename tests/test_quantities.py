@@ -1,5 +1,7 @@
 """Tests for the scaled-energy quantities against independent closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,10 @@ from cylscale import (
     ExponentialWeighted,
     GaussianBump,
     PowerLawProfile,
+    Profile,
     QuadratureConfig,
     RadiusError,
+    ScalingSpec,
     SelfSimilarProfile,
     SteadyShearProfile,
     SupportError,
@@ -26,6 +30,7 @@ from cylscale import (
     local_energy_residual,
     m_quantity,
     quantity_report,
+    rescale_grid,
     sample,
     sup_weighted_mass,
 )
@@ -158,6 +163,112 @@ class TestGridQuantities:
             sup_weighted_mass(f, 2.0, 1.0)
         with pytest.raises(RadiusError):
             sup_weighted_mass(f, -1.0, 1.0)
+
+
+class _SmoothProfile(Profile):
+    """Smooth and time-dependent, with nonzero pressure, and defined at
+    x = 0, so odd grids can sample it."""
+
+    def velocity(self, x, t):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.sin(2.0 * x[..., 1]) * (1.0 - t),
+                         np.cos(x[..., 2]) + x[..., 0] ** 2,
+                         x[..., 0] * x[..., 1] * t], axis=-1)
+
+    def pressure(self, x, t):
+        x = np.asarray(x, dtype=float)
+        return np.sin(x[..., 0] + 2.0 * x[..., 1]) - t * x[..., 2]
+
+
+def _mask_ball_sums(field, values, r):
+    """Reference: per-time sums over a meshgrid mask of the cells in B(r)."""
+    axis = field.space_axis
+    xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
+    mask = xx**2 + yy**2 + zz**2 < r**2
+    return np.array([float(np.sum(v[mask])) for v in values]) * field.cell_size**3
+
+
+def _mask_primitives(field, r, s, l, m0):
+    """The four grid primitives at radius r, by brute-force masked sums."""
+    idx = np.nonzero(field.times > -(r**2))[0]
+    dt = field.cylinder.time_depth / field.n_time
+    h = field.cell_size
+    speed = np.linalg.norm(field.velocity, axis=-1)
+    gradsq = np.zeros(field.pressure.shape)
+    for j in range(field.n_time):
+        for comp in range(3):
+            for ax in range(3):
+                d = np.gradient(field.velocity[j][..., comp], h, axis=ax)
+                gradsq[j] += d * d
+    kappa = l * (3.0 / s + 2.0 / l - 1.0)
+    S = _mask_ball_sums(field, speed**s, r)
+    return {
+        "A": r**-1.0 * np.max(_mask_ball_sums(field, speed**2, r)[idx]),
+        "C": r**-2.0 * np.sum(_mask_ball_sums(field, speed**3, r)[idx]) * dt,
+        "D": r**-2.0 * np.sum(
+            _mask_ball_sums(field, np.abs(field.pressure) ** 1.5, r)[idx]) * dt,
+        "E": r**-1.0 * np.sum(_mask_ball_sums(field, gradsq, r)[idx]) * dt,
+        "M": r**-kappa * np.sum(S[idx] ** (l / s)) * dt,
+    }
+
+
+def _grid_primitives(field, r, s, l, m0):
+    return {
+        "A": sup_weighted_mass(field, r, 1.0),
+        "C": cylinder_power_integral(field, "speed", 3.0, r, 2.0),
+        "D": cylinder_power_integral(field, "pressure", 1.5, r, 2.0),
+        "E": cylinder_gradsq_integral(field, r, 1.0),
+        "M": m_quantity(field, r, s, l, m0)[0],
+    }
+
+
+def _exact_cell_radius(field, lo):
+    """A cell-centre distance r > lo with r**2 equal to that cell's d2."""
+    a2 = field.space_axis**2
+    d2 = np.unique(a2[:, None, None] + a2[None, :, None] + a2[None, None, :])
+    return next(math.sqrt(v) for v in d2
+                if v > lo**2 and math.sqrt(v) ** 2 == v)
+
+
+class TestGridBallLookup:
+    """The shell prefix-sum lookup against a masked sum over every cell."""
+
+    sl = (2.8, 2.6, 0.9)
+
+    @pytest.mark.parametrize("n, profile", [
+        (12, PowerLawProfile(c=1.1, alpha_p=0.45, gamma_p=1.25, pressure_coeff=0.6)),
+        (11, _SmoothProfile()),
+    ])
+    def test_primitives_match_mask_sums(self, n, profile):
+        f = sample(profile, CylinderSpec(1.0), n, 8)
+        r_edge = _exact_cell_radius(f, 0.5)
+        for r in (0.3, 0.55, r_edge, 1.0):
+            want = _mask_primitives(f, r, *self.sl)
+            got = _grid_primitives(f, r, *self.sl)
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12), (r, key)
+        # the shell at r_edge lies on the sphere: the strict test leaves it out
+        above = math.nextafter(r_edge, 2.0)
+        assert sup_weighted_mass(f, above, 0.0) > sup_weighted_mass(f, r_edge, 0.0)
+
+    def test_builds_only_requested_moments(self):
+        f = sample(_SmoothProfile(), CylinderSpec(1.0), 8, 4)
+        cylinder_power_integral(f, "speed", 3.0, 1.0, 2.0)
+        assert set(f._ball_cache) == {"shells", ("speed", 3.0)}
+
+    def test_repeated_and_rescaled_queries_agree(self):
+        f = sample(_SmoothProfile(), CylinderSpec(1.0), 12, 8)
+        first = _grid_primitives(f, 0.65, *self.sl)
+        assert _grid_primitives(f, 0.65, *self.sl) == first
+        lam = 0.5
+        g = rescale_grid(f, ScalingSpec("navier-stokes", lam))
+        for a in (0.6, 0.9, 1.3, 2.0):
+            want = _mask_primitives(g, a, *self.sl)
+            got = _grid_primitives(g, a, *self.sl)
+            orig = _grid_primitives(f, lam * a, *self.sl)
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=1e-12), (a, key)
+                assert got[key] == pytest.approx(orig[key], rel=1e-12), (a, key)
 
 
 class TestReports:
