@@ -279,6 +279,10 @@ def _evidence_bounded(evidence) -> bool:
         return evidence
     if isinstance(evidence, GrowthEnvelope):
         return evidence.bounded
+    if isinstance(evidence, (str, bytes)):
+        # a one-character string iterates to itself, without end
+        raise DomainError(f"evidence must be a bool, a GrowthEnvelope or an "
+                          f"iterable of them, got {evidence!r}")
     try:
         items = list(evidence)
     except TypeError:

@@ -129,13 +129,14 @@ class RunConfig:
         return float(self.get("run.tolerance"))
 
     def quadrature(self) -> QuadratureConfig:
+        # QuadratureConfig checks every field; values pass through uncast
         return QuadratureConfig(
-            n_space=int(self.get("quadrature.n_space")),
-            n_time=int(self.get("quadrature.n_time")),
-            n_radial=int(self.get("quadrature.n_radial")),
-            graded_levels=int(self.get("quadrature.graded_levels")),
-            radial_rule=str(self.get("quadrature.radial_rule")),
-            time_rule=str(self.get("quadrature.time_rule")),
+            n_space=self.get("quadrature.n_space"),
+            n_time=self.get("quadrature.n_time"),
+            n_radial=self.get("quadrature.n_radial"),
+            graded_levels=self.get("quadrature.graded_levels"),
+            radial_rule=self.get("quadrature.radial_rule"),
+            time_rule=self.get("quadrature.time_rule"),
         )
 
     def profile(self):

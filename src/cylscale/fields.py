@@ -64,9 +64,12 @@ class Profile:
     radial_power: float = 0.0
     #: magnitude behaves like (-t)**time_power near t = 0
     time_power: float = 0.0
-    #: speed factorizes as coef * |x|**radial_power * (-t)**time_power
+    #: speed factorizes as coef * |x|**radial_power * (-t)**time_power, and
+    #: the whole field follows the time factor: velocity(x, t) equals
+    #: velocity(x, -1) * (-t)**time_power, while pressure and |grad v|^2
+    #: carry (-t)**(2 * time_power)
     separable: bool = False
-    #: field does not depend on t
+    #: field does not depend on t (so time_power is 0)
     steady: bool = False
 
     def velocity(self, x: np.ndarray, t: float) -> np.ndarray:
@@ -324,7 +327,7 @@ def _check_time(t):
 # sampled fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """Cell-centered samples of a velocity/pressure pair on a cylinder.
 
@@ -333,7 +336,8 @@ class GridField:
     sample arrays read-only, and the discrete divergence residual is
     recorded up front.  The quantities layer caches ball moments per field
     in ``_ball_cache``, which is only valid because the samples cannot
-    change.
+    change.  Equality is identity: fields hold arrays, which have no single
+    truth value to compare by.
     """
 
     cylinder: CylinderSpec
@@ -344,8 +348,7 @@ class GridField:
     radial_power: float = 0.0
     time_power: float = 0.0
     div_residual: float = dc_field(default=0.0)
-    _ball_cache: dict = dc_field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
+    _ball_cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_space < 2 or self.n_time < 2:

@@ -13,6 +13,7 @@ Three kinds of rules are used:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,8 @@ class QuadratureConfig:
     ``n_time`` set the refinement of the 1-d graded rules (n/16 cells per
     dyadic level); ``graded_levels`` the number of dyadic levels toward the
     singularity, which controls how much of the singular core is resolved.
+    Construction checks that the four counts are integers >= 1 and that both
+    rules are "exact" or "graded".
     """
 
     n_space: int = 32
@@ -47,6 +50,15 @@ class QuadratureConfig:
     rel_tol: float = 1e-2
 
     def __post_init__(self):
+        for name in ("n_space", "n_time", "n_radial", "graded_levels"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("radial_rule", "time_rule"):
+            value = getattr(self, name)
+            if value not in ("exact", "graded"):
+                raise DomainError(f"{name} must be 'exact' or 'graded', got {value!r}")
         if self.rel_tol <= 0:
             raise DomainError("rel_tol must be positive")
 
@@ -96,12 +108,6 @@ def graded_nodes(length: float, n: int, levels: int):
     return nodes[order], weights[order]
 
 
-def graded_radial_quadrature(f, r: float, cfg: QuadratureConfig) -> float:
-    """4*pi * int_0^r rho^2 f(rho) drho on a graded mesh."""
-    nodes, weights = graded_nodes(r, cfg.n_radial, cfg.graded_levels)
-    return FOUR_PI * float(np.sum(weights * nodes**2 * f(nodes)))
-
-
 def graded_time_quadrature(f, T: float, cfg: QuadratureConfig) -> float:
     """int_0^T f(u) du with grading toward u = 0 (f of the *age* u = -t)."""
     nodes, weights = graded_nodes(T, cfg.n_time if cfg.n_time > 4 else 16,
@@ -137,8 +143,17 @@ def centered_times(T: float, nt: int) -> np.ndarray:
     return -ages
 
 
+@lru_cache(maxsize=8)
+def _unit_gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int):
     """Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _unit_gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     InequalityStructureError,
     RadiusError,
     ResolutionError,
@@ -234,7 +235,10 @@ def sup_weighted_mass(field, r: float, weight: float,
 def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
                             cfg: QuadratureConfig = DEFAULT_CONFIG,
                             mu: float = 1.0) -> float:
-    """r**(-weight) * int over Q^{1,mu}(r) of |field|^p."""
+    """r**(-weight) * int over Q^{1,mu}(r) of |field|^p, kind "speed" or
+    "pressure"."""
+    if kind not in ("speed", "pressure"):
+        raise DomainError(f"kind must be 'speed' or 'pressure', got {kind!r}")
     _check_radius(field, r)
     T = mu * r**2
     if isinstance(field, GridField):
@@ -466,8 +470,29 @@ def inequality_ratios(field, r: float, rho: float, params: ExponentParams,
 # local energy balance
 
 
+class _SpaceTimeProduct:
+    """A test function phi(y, tau) = S(y) * T(tau).
+
+    Subclasses give ``space_parts(y)`` -> (S, grad S, laplacian S) and
+    ``time_parts(tau)`` -> (T, dT/dtau); the pointwise evaluators are their
+    products.
+    """
+
+    def value(self, y, tau):
+        return self.space_parts(y)[0] * self.time_parts(tau)[0]
+
+    def grad(self, y, tau):
+        return self.space_parts(y)[1] * self.time_parts(tau)[0][..., None]
+
+    def laplacian(self, y, tau):
+        return self.space_parts(y)[2] * self.time_parts(tau)[0]
+
+    def dt(self, y, tau):
+        return self.space_parts(y)[0] * self.time_parts(tau)[1]
+
+
 @dataclass(frozen=True)
-class GaussianBump:
+class GaussianBump(_SpaceTimeProduct):
     """Smooth nonnegative test function with analytic derivatives.
 
     A Gaussian in space and time; the quadrature support is truncated at
@@ -482,26 +507,21 @@ class GaussianBump:
     amplitude: float = 1.0
     nsigma: float = 7.0
 
-    def value(self, y, tau):
-        y = np.asarray(y, dtype=float)
-        d = y - np.asarray(self.center)
-        q = np.einsum("...i,...i->...", d, d) / (2 * self.sigma**2)
-        qt = (tau - self.t_center) ** 2 / (2 * self.sigma_t**2)
-        return self.amplitude * np.exp(-q - qt)
+    def space_parts(self, y):
+        """Value, gradient and Laplacian of the spatial factor (which carries
+        the amplitude) at points y of shape (..., 3)."""
+        d = np.asarray(y, dtype=float) - np.asarray(self.center)
+        d2 = np.einsum("...i,...i->...", d, d)
+        S = self.amplitude * np.exp(-d2 / (2 * self.sigma**2))
+        grad = S[..., None] * (-d / self.sigma**2)
+        lap = S * (d2 / self.sigma**4 - 3.0 / self.sigma**2)
+        return S, grad, lap
 
-    def grad(self, y, tau):
-        y = np.asarray(y, dtype=float)
-        d = y - np.asarray(self.center)
-        return self.value(y, tau)[..., None] * (-d / self.sigma**2)
-
-    def laplacian(self, y, tau):
-        y = np.asarray(y, dtype=float)
-        d = y - np.asarray(self.center)
-        q = np.einsum("...i,...i->...", d, d)
-        return self.value(y, tau) * (q / self.sigma**4 - 3.0 / self.sigma**2)
-
-    def dt(self, y, tau):
-        return self.value(y, tau) * (-(tau - self.t_center) / self.sigma_t**2)
+    def time_parts(self, tau):
+        """Value and tau-derivative of the temporal factor, elementwise in tau."""
+        s = np.asarray(tau, dtype=float) - self.t_center
+        T = np.exp(-(s**2) / (2 * self.sigma_t**2))
+        return T, T * (-s / self.sigma_t**2)
 
     @property
     def space_box(self):
@@ -517,25 +537,20 @@ class GaussianBump:
 
 
 @dataclass(frozen=True)
-class ExponentialWeighted:
+class ExponentialWeighted(_SpaceTimeProduct):
     """phi = base * exp(rate * tau), with derivatives carried through."""
 
     base: GaussianBump
     rate: float
 
-    def value(self, y, tau):
-        return self.base.value(y, tau) * np.exp(self.rate * tau)
+    def space_parts(self, y):
+        return self.base.space_parts(y)
 
-    def grad(self, y, tau):
-        return self.base.grad(y, tau) * np.exp(self.rate * tau)
-
-    def laplacian(self, y, tau):
-        return self.base.laplacian(y, tau) * np.exp(self.rate * tau)
-
-    def dt(self, y, tau):
-        return (
-            self.base.dt(y, tau) + self.rate * self.base.value(y, tau)
-        ) * np.exp(self.rate * tau)
+    def time_parts(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        T, dT = self.base.time_parts(tau)
+        e = np.exp(self.rate * tau)
+        return T * e, (dT + self.rate * T) * e
 
     @property
     def space_box(self):
@@ -547,18 +562,53 @@ class ExponentialWeighted:
 
 
 def _testfn_grid(testfn, n: int):
+    """Tensor Gauss-Legendre points (n**3, 3) and weights over the support box."""
     lo, hi = testfn.space_box
-    nodes = []
-    weights = []
-    for j in range(3):
-        x, w = gauss_legendre(float(lo[j]), float(hi[j]), n)
-        nodes.append(x)
-        weights.append(w)
-    xx, yy, zz = np.meshgrid(*nodes, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=-1)
-    wx, wy, wz = np.meshgrid(*weights, indexing="ij")
-    wts = (wx * wy * wz).ravel()
+    (x, wx), (y, wy), (z, wz) = (gauss_legendre(float(lo[j]), float(hi[j]), n)
+                                 for j in range(3))
+    pts = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1).reshape(-1, 3)
+    wts = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
     return pts, wts
+
+
+def _flow_moments(profile, pts, t, wS, wgradS, wlapS, viscous: bool):
+    """Spatial moments of the flow at time t against the test function's
+    spatial factor S, whose value, gradient and Laplacian arrive already
+    multiplied by the cell weights: [int |v|^2 S, int |v|^2 lap S,
+    int (v . grad S)(|v|^2 + 2p), int S |grad v|^2], the second and the
+    last 0 unless viscous.
+    """
+    v = profile.velocity(pts, t)
+    p = profile.pressure(pts, t)
+    v2 = np.einsum("...i,...i->...", v, v)
+    flux = np.einsum("...i,...i->...", v, wgradS) @ (v2 + 2.0 * p)
+    heat = dissipation = 0.0
+    if viscous:
+        heat = v2 @ wlapS
+        g = profile.grad_norm_sq(pts, t)
+        if g is None:
+            g = _gradsq_fd(profile, pts, t, 1e-4)
+        dissipation = g @ wS
+    return np.array([v2 @ wS, heat, flux, dissipation])
+
+
+def _physical_moments(profile, pts, times, wS, wgradS, wlapS, viscous: bool):
+    """_flow_moments at each of ``times``, shape (len(times), 4).
+
+    Steady and separable profiles are evaluated once: their velocity scales
+    as s = (-t)**time_power and pressure and |grad v|^2 as s**2 (the
+    ``Profile.separable`` contract), so the four moments scale as s**2,
+    s**2, s**3 and s**2.  Any other profile is evaluated at every time.
+    """
+    if profile.steady or profile.separable:
+        base = _flow_moments(profile, pts, -1.0, wS, wgradS, wlapS, viscous)
+        s = (-times) ** profile.time_power
+        return base * np.stack([s**2, s**2, s**3, s**2], axis=-1)
+    return np.array([_flow_moments(profile, pts, t, wS, wgradS, wlapS, viscous)
+                     for t in times])
+
+
+_VARIANTS = ("standard-ns", "euler-limit", "selfsimilar", "selfsimilar-weighted")
 
 
 def local_energy_residual(profile, testfn, tau0: float, variant: str,
@@ -572,9 +622,17 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
     "selfsimilar-weighted" (the exponentially weighted pre-substitution
     form).  For a smooth exact solution of the corresponding equations the
     residual is zero up to quadrature error.
+
+    The test function is a product S(y) T(tau), so S, grad S and lap S are
+    built once per call and the time integral is a Gauss-Legendre sum of a
+    few spatial moments against T and dT/dtau.
     """
-    tlo, thi = testfn.time_window
+    if variant not in _VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}; expected one of {_VARIANTS}")
     physical = variant in ("standard-ns", "euler-limit")
+    if not physical and not isinstance(profile, SelfSimilarProfile):
+        raise DomainError("similarity variants need a SelfSimilarProfile")
+    tlo, thi = testfn.time_window
     if physical:
         if thi >= 0 and (profile.singular_at_time_zero or not getattr(profile, "steady", False)):
             raise SupportError("test function support reaches t >= 0")
@@ -592,64 +650,44 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
         tnodes, twts = np.array([]), np.array([])
     else:
         tnodes, twts = gauss_legendre(tlo, t_hi, max(cfg.n_time, n))
+    S, gradS, lapS = testfn.space_parts(pts)
+    wS, wgradS, wlapS = wts * S, wts[:, None] * gradS, wts * lapS
+    T, dT = testfn.time_parts(tnodes)
+    T0 = float(testfn.time_parts(tau0)[0])
 
-    if variant in ("selfsimilar", "selfsimilar-weighted"):
-        if not isinstance(profile, SelfSimilarProfile):
-            raise TypeError("similarity variants need a SelfSimilarProfile")
-        if params is None:
-            alpha = profile.alpha
-            m1 = 3.0 - 2.0 * alpha
-        else:
-            alpha = float(params.alpha)
-            m1 = float(params.m1)
-        rate = m1 / (1.0 + alpha)
-        U = np.asarray(profile.U(pts), dtype=float)
-        P = (
-            np.zeros(pts.shape[0])
-            if profile.P is None
-            else np.asarray(profile.P(pts), dtype=float)
-        )
-        U2 = np.einsum("...i,...i->...", U, U)
-        rhs = 0.0
-        for t, wt in zip(tnodes, twts):
-            phi_g = testfn.grad(pts, t)
-            drift = np.einsum("...i,...i->...", pts, phi_g) / (1.0 + alpha)
-            adv = np.einsum("...i,...i->...", U, phi_g)
-            if variant == "selfsimilar":
-                integrand = (
-                    U2 * (drift + testfn.dt(pts, t) + rate * testfn.value(pts, t))
-                    + adv * (U2 + 2.0 * P)
-                )
-                weight = 1.0
-            else:
-                integrand = U2 * (drift + testfn.dt(pts, t)) + adv * (U2 + 2.0 * P)
-                weight = np.exp(-rate * t)
-            rhs += wt * weight * float(np.sum(wts * integrand))
-        lhs_weight = 1.0 if variant == "selfsimilar" else np.exp(-rate * tau0)
-        lhs = lhs_weight * float(np.sum(wts * U2 * testfn.value(pts, tau0)))
+    if physical:
+        # the last row, at tau0, gives the lhs mass
+        rows = _physical_moments(profile, pts, np.append(tnodes, tau0),
+                                 wS, wgradS, wlapS, variant == "standard-ns")
+        mass, heat, flux, dissipation = rows[:-1].T
+        rhs = float(np.sum(twts * (mass * dT + (heat + flux) * T)))
+        lhs = float(rows[-1, 0]) * T0 + 2.0 * float(np.sum(twts * dissipation * T))
         return lhs, rhs, lhs - rhs
 
-    rhs = 0.0
-    dissipation = 0.0
-    for t, wt in zip(tnodes, twts):
-        v = profile.velocity(pts, t)
-        p = profile.pressure(pts, t)
-        v2 = np.einsum("...i,...i->...", v, v)
-        phi_g = testfn.grad(pts, t)
-        adv = np.einsum("...i,...i->...", v, phi_g)
-        heat = testfn.dt(pts, t)
-        if variant == "standard-ns":
-            heat = heat + testfn.laplacian(pts, t)
-            g = profile.grad_norm_sq(pts, t)
-            if g is None:
-                g = _gradsq_fd(profile, pts, t, 1e-4)
-            dissipation += wt * float(np.sum(wts * testfn.value(pts, t) * g))
-        rhs += wt * float(np.sum(wts * (v2 * heat + adv * (v2 + 2.0 * p))))
-    v0 = profile.velocity(pts, tau0)
-    v02 = np.einsum("...i,...i->...", v0, v0)
-    lhs = float(np.sum(wts * v02 * testfn.value(pts, tau0)))
-    if variant == "standard-ns":
-        lhs = lhs + 2.0 * dissipation
-    elif variant != "euler-limit":
-        raise ValueError(f"unknown variant {variant!r}")
+    if params is None:
+        alpha = profile.alpha
+        m1 = 3.0 - 2.0 * alpha
+    else:
+        alpha = float(params.alpha)
+        m1 = float(params.m1)
+    rate = m1 / (1.0 + alpha)
+    U = np.asarray(profile.U(pts), dtype=float)
+    P = (
+        np.zeros(pts.shape[0])
+        if profile.P is None
+        else np.asarray(profile.P(pts), dtype=float)
+    )
+    U2 = np.einsum("...i,...i->...", U, U)
+    mass = float(U2 @ wS)
+    drift = float(U2 @ np.einsum("...i,...i->...", pts, wgradS)) / (1.0 + alpha)
+    flux = float(np.einsum("...i,...i->...", U, wgradS) @ (U2 + 2.0 * P))
+    # the rhs integrand is weight * (t_coef * T + mass * dT); in the plain
+    # form the zeroth-order term rate * phi joins the drift and flux
+    if variant == "selfsimilar":
+        weight, t_coef, lhs_weight = 1.0, drift + flux + rate * mass, 1.0
+    else:
+        weight, t_coef = np.exp(-rate * tnodes), drift + flux
+        lhs_weight = np.exp(-rate * tau0)
+    rhs = float(np.sum(twts * weight * (t_coef * T + mass * dT)))
+    lhs = lhs_weight * mass * T0
     return lhs, rhs, lhs - rhs

@@ -183,6 +183,11 @@ class TestLiouville:
     def test_empty_evidence_inconclusive(self):
         assert liouville_verdict(0.55, 0.5, evidence=iter(())).verdict == "Inconclusive"
 
+    @pytest.mark.parametrize("evidence", ["yes", b"yes", ["ok"]])
+    def test_string_evidence_rejected(self, evidence):
+        with pytest.raises(DomainError, match="evidence"):
+            liouville_verdict(0.55, 0.5, evidence=evidence)
+
     def test_unbounded_evidence_inconclusive(self):
         env = growth_envelope(lambda rho: rho, exponent=0.0,
                               ladder=[2.0**j for j in range(6)], radial=True)

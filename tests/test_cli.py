@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from cylscale.cli import (
@@ -39,6 +40,27 @@ class TestConfigParsing:
 
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
+
+    @pytest.mark.parametrize("override", [
+        "quadrature.radial_rule=bogus", "quadrature.time_rule=Exact",
+        "quadrature.n_space=inf", "quadrature.n_time=2.5",
+        "quadrature.n_radial=0", "quadrature.graded_levels=none",
+    ])
+    def test_bad_quadrature_entry_exits_invalid(self, tmp_path, capsys, override):
+        assert run(tmp_path, "quantities", override) == EXIT_INVALID
+        key = override.split("=")[0].split(".")[1]
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_quadrature_config_checked_at_construction(self):
+        from cylscale import DomainError, QuadratureConfig
+
+        for bad in ({"n_space": 0}, {"n_time": float("inf")}, {"n_radial": 8.0},
+                    {"graded_levels": True}, {"radial_rule": "bogus"},
+                    {"time_rule": None}):
+            with pytest.raises(DomainError):
+                QuadratureConfig(**bad)
+        assert QuadratureConfig(n_space=np.int64(8)).n_space == 8
 
 
 class TestExponentsCommand:

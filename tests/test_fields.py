@@ -203,6 +203,13 @@ class TestGrid:
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.velocity = np.zeros_like(f.velocity)
 
+    def test_grid_field_equality_is_identity(self):
+        f = sample(ConstantProfile((1.0, 0.0, 0.0)), CylinderSpec(1.0), 4, 2)
+        g = sample(ConstantProfile((1.0, 0.0, 0.0)), CylinderSpec(1.0), 4, 2)
+        assert f == f
+        assert f != g
+        assert len({f, g}) == 2
+
     def test_bad_cylinder(self):
         with pytest.raises(ValueError):
             CylinderSpec(radius=-1.0)

@@ -10,6 +10,7 @@ from cylscale import (
     ConstantProfile,
     CylinderSpec,
     DivergentIntegralError,
+    DomainError,
     ExponentialWeighted,
     GaussianBump,
     PowerLawProfile,
@@ -314,6 +315,17 @@ class TestReports:
             _ratio(1.0, 0.0)
 
 
+class TestPowerKinds:
+    @pytest.mark.parametrize("field", [
+        PowerLawProfile(),
+        SteadyShearProfile(),
+        sample(SteadyShearProfile(), CylinderSpec(2.0), 4, 2),
+    ], ids=["separable", "cartesian", "grid"])
+    def test_unknown_kind_rejected(self, field):
+        with pytest.raises(DomainError, match="kind"):
+            cylinder_power_integral(field, "bogus", 1.5, 1.0, 2.0)
+
+
 class TestTestFunctions:
     bump = GaussianBump(center=(0.1, -0.2, 0.3), t_center=-0.5,
                         sigma=0.4, sigma_t=0.08)
@@ -336,6 +348,28 @@ class TestTestFunctions:
         ) / h * h  # noqa: arithmetic kept explicit
         assert self.bump.laplacian(y, tau) == pytest.approx(lap, rel=1e-3)
 
+    def test_space_time_parts_reproduce_evaluators(self):
+        y = np.array([[0.3, 0.1, 0.2], [-0.5, 0.4, 0.0], [0.1, -0.2, 0.3]])
+        taus = np.array([-0.6, -0.45, -0.3])
+        d = y - np.asarray(self.bump.center)
+        for f in (self.bump, ExponentialWeighted(self.bump, rate=0.7)):
+            S, G, L = f.space_parts(y)
+            T, dT = f.time_parts(taus)
+            for k, tau in enumerate(taus):
+                assert f.time_parts(tau)[0] == T[k]
+                assert f.time_parts(tau)[1] == dT[k]
+                assert np.array_equal(f.value(y, tau), S * T[k])
+                assert np.array_equal(f.grad(y, tau), G * T[k])
+                assert np.array_equal(f.laplacian(y, tau), L * T[k])
+                assert np.array_equal(f.dt(y, tau), S * dT[k])
+        # the factors multiply out to the closed-form Gaussian
+        q = np.einsum("ij,ij->i", d, d) / (2 * self.bump.sigma**2)
+        for tau in taus:
+            qt = (tau - self.bump.t_center) ** 2 / (2 * self.bump.sigma_t**2)
+            np.testing.assert_allclose(self.bump.value(y, tau),
+                                       self.bump.amplitude * np.exp(-q - qt),
+                                       rtol=1e-14)
+
     def test_exponential_weighting_chain_rule(self):
         w = ExponentialWeighted(self.bump, rate=0.7)
         y = np.array([0.0, 0.0, 0.1])
@@ -343,6 +377,69 @@ class TestTestFunctions:
         h = 1e-6
         fd_t = (w.value(y, tau + h) - w.value(y, tau - h)) / (2 * h)
         assert w.dt(y, tau) == pytest.approx(fd_t, rel=1e-6)
+
+
+def _reference_local_energy(profile, testfn, tau0, variant, cfg):
+    """Reference: the balance integrated node by node, with the profile and
+    every test-function evaluator called afresh at each time node."""
+    from cylscale.quadrature import gauss_legendre
+    from cylscale.quantities import _gradsq_fd, _testfn_grid
+
+    tlo, thi = testfn.time_window
+    n = cfg.n_space
+    pts, wts = _testfn_grid(testfn, n)
+    tnodes, twts = gauss_legendre(tlo, min(thi, tau0), max(cfg.n_time, n))
+    dot = lambda a, b: np.einsum("...i,...i->...", a, b)
+    if variant in ("selfsimilar", "selfsimilar-weighted"):
+        alpha = profile.alpha
+        rate = (3.0 - 2.0 * alpha) / (1.0 + alpha)
+        U = np.asarray(profile.U(pts), dtype=float)
+        P = np.zeros(len(pts)) if profile.P is None else profile.P(pts)
+        U2 = dot(U, U)
+        rhs = 0.0
+        for t, wt in zip(tnodes, twts):
+            phi_g = testfn.grad(pts, t)
+            drift = dot(pts, phi_g) / (1.0 + alpha)
+            adv = dot(U, phi_g)
+            if variant == "selfsimilar":
+                integrand = (U2 * (drift + testfn.dt(pts, t) + rate * testfn.value(pts, t))
+                             + adv * (U2 + 2.0 * P))
+                weight = 1.0
+            else:
+                integrand = U2 * (drift + testfn.dt(pts, t)) + adv * (U2 + 2.0 * P)
+                weight = np.exp(-rate * t)
+            rhs += wt * weight * float(np.sum(wts * integrand))
+        lhs_weight = 1.0 if variant == "selfsimilar" else np.exp(-rate * tau0)
+        lhs = lhs_weight * float(np.sum(wts * U2 * testfn.value(pts, tau0)))
+        return lhs, rhs, lhs - rhs
+    rhs = 0.0
+    dissipation = 0.0
+    for t, wt in zip(tnodes, twts):
+        v = profile.velocity(pts, t)
+        p = profile.pressure(pts, t)
+        v2 = dot(v, v)
+        adv = dot(v, testfn.grad(pts, t))
+        heat = testfn.dt(pts, t)
+        if variant == "standard-ns":
+            heat = heat + testfn.laplacian(pts, t)
+            g = profile.grad_norm_sq(pts, t)
+            if g is None:
+                g = _gradsq_fd(profile, pts, t, 1e-4)
+            dissipation += wt * float(np.sum(wts * testfn.value(pts, t) * g))
+        rhs += wt * float(np.sum(wts * (v2 * heat + adv * (v2 + 2.0 * p))))
+    v0 = profile.velocity(pts, tau0)
+    lhs = float(np.sum(wts * dot(v0, v0) * testfn.value(pts, tau0)))
+    if variant == "standard-ns":
+        lhs = lhs + 2.0 * dissipation
+    return lhs, rhs, lhs - rhs
+
+
+def _similarity_U(y):
+    return np.exp(-np.einsum("...i,...i->...", y, y))[..., None] * azimuthal_unit(y)
+
+
+def _similarity_P(y):
+    return 0.3 * np.exp(-0.5 * np.einsum("...i,...i->...", y, y))
 
 
 class TestLocalEnergy:
@@ -379,3 +476,45 @@ class TestLocalEnergy:
         assert l1 == pytest.approx(l2, rel=1e-9)
         assert r1 == pytest.approx(r2, rel=1e-9, abs=1e-12)
         assert d1 == pytest.approx(d2, rel=1e-9, abs=1e-12)
+
+    # off-centre bumps: the flux of an azimuthal field against a bump
+    # centred on its axis, or on the diagonal x1 = x2, cancels by symmetry
+    _bump = GaussianBump(center=(0.3, -0.2, 0.1), t_center=-0.5,
+                         sigma=0.35, sigma_t=0.05)
+    _off = GaussianBump(center=(2.0, 1.0, 1.5), t_center=-0.5, sigma=0.2,
+                        sigma_t=0.05)
+    _sim = SelfSimilarProfile(alpha=1.4, U=_similarity_U, P=_similarity_P)
+    _rate = (3.0 - 2.0 * 1.4) / (1.0 + 1.4)
+
+    @pytest.mark.parametrize("profile, testfn, variant", [
+        (SteadyShearProfile(amplitude=1.0, wavenumber=2.0), _bump, "euler-limit"),
+        (SteadyShearProfile(amplitude=1.0, wavenumber=2.0), _bump, "standard-ns"),
+        (PowerLawProfile(c=1.0, alpha_p=0.5, gamma_p=1.1), _off, "standard-ns"),
+        (PowerLawProfile(c=0.8, alpha_p=0.3, gamma_p=1.2), _off, "euler-limit"),
+        (_sim, _bump, "standard-ns"),
+        (_sim, _bump, "euler-limit"),
+        (_sim, _bump, "selfsimilar"),
+        (_sim, ExponentialWeighted(_bump, _rate), "selfsimilar-weighted"),
+    ], ids=["shear-euler", "shear-ns", "powerlaw-ns", "powerlaw-euler",
+            "selfsimilar-profile-ns", "selfsimilar-profile-euler",
+            "selfsimilar", "selfsimilar-weighted"])
+    def test_factorised_kernel_matches_per_node_loop(self, profile, testfn, variant):
+        cfg = QuadratureConfig(n_space=12)
+        got = local_energy_residual(profile, testfn, -0.4, variant, cfg)
+        want = _reference_local_energy(profile, testfn, -0.4, variant, cfg)
+        scale = max(abs(want[0]), abs(want[1]))
+        assert scale > 0
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * scale
+
+    def test_bad_variant_or_profile_rejected_before_quadrature(self, monkeypatch):
+        import cylscale.quantities as quantities
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature built before the inputs were checked")
+
+        monkeypatch.setattr(quantities, "gauss_legendre", no_quadrature)
+        with pytest.raises(DomainError, match="variant"):
+            local_energy_residual(self.shear, self.bump, -0.4, "eulerlimit")
+        with pytest.raises(DomainError, match="SelfSimilarProfile"):
+            local_energy_residual(self.shear, self.bump, -0.4, "selfsimilar")
