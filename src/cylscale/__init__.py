@@ -77,7 +77,6 @@ from .scaling import (
     lambda_for_rk,
     rescale,
     rescale_grid,
-    write_invariance_csv,
 )
 from .asymptotics import (
     GrowthEnvelope,

@@ -112,11 +112,6 @@ class IterationTrace:
 
     CSV_COLUMNS = ("k", "profile_term", "forcing_term", "bound")
 
-    def to_csv_rows(self):
-        for k, p, a, b in zip(self.ks, self.profile_terms,
-                              self.forcing_terms, self.bounds):
-            yield [k, repr(p), repr(a), repr(b)]
-
 
 def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTrace:
     """k-fold iteration of the one-step bound in closed form.
@@ -404,12 +399,3 @@ def decay_recursion(G0: float, b: float, k: int,
         out.append(g)
     return out
 
-
-def write_trace_csv(trace: IterationTrace, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(IterationTrace.CSV_COLUMNS)
-        for row in trace.to_csv_rows():
-            w.writerow(row)

@@ -64,8 +64,10 @@ DEFAULTS = {
     "quadrature.radial_rule": "exact",
     "quadrature.time_rule": "exact",
     "run.tolerance": "1e-9",
-    "run.threads": "1",
 }
+
+#: largest iterate.k_max accepted; 100,000 steps write about 4 MB of CSV
+K_MAX_LIMIT = 100_000
 
 
 class ConfigError(CylscaleError):
@@ -107,14 +109,12 @@ def _coerce(raw: str):
 
 
 class RunConfig:
-    def __init__(self, entries: dict, tolerance=None, threads=None):
+    def __init__(self, entries: dict, tolerance=None):
         merged = dict(DEFAULTS)
         merged.update(entries)
         self.entries = merged
         if tolerance is not None:
             self.entries["run.tolerance"] = repr(tolerance)
-        if threads is not None:
-            self.entries["run.threads"] = str(threads)
         tol = self.get("run.tolerance")
         if not tol > 0:
             raise ConfigError("run.tolerance must be positive")
@@ -123,6 +123,13 @@ class RunConfig:
         if key not in self.entries:
             raise ConfigError(f"missing config field {key!r}")
         return _coerce(self.entries[key])
+
+    def count(self, key: str, upper=float("inf")) -> int:
+        """An integer entry in [1, upper]."""
+        value = self.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= upper:
+            raise ConfigError(f"{key} must be an integer in [1, {upper}], got {value!r}")
+        return value
 
     @property
     def tolerance(self) -> float:
@@ -160,9 +167,9 @@ class RunConfig:
     def ladder(self):
         start = float(self.get("ladder.start"))
         factor = float(self.get("ladder.factor"))
-        count = int(self.get("ladder.count"))
-        if start <= 0 or factor <= 1 or count < 1:
-            raise ConfigError("ladder needs start > 0, factor > 1, count >= 1")
+        count = self.count("ladder.count")
+        if start <= 0 or factor <= 1:
+            raise ConfigError("ladder needs start > 0, factor > 1")
         return [start * factor**j for j in range(count)]
 
     def provenance(self) -> dict:
@@ -326,12 +333,12 @@ def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 
 
 def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+    k_max = cfg.count("iterate.k_max", K_MAX_LIMIT)
     params = asy.derive_iteration_params(
         float(cfg.get("iterate.m")), float(cfg.get("iterate.gamma")),
         C_force=float(cfg.get("iterate.C")),
     )
-    trace = asy.iterate_bound(params, float(cfg.get("iterate.R")),
-                              int(cfg.get("iterate.k_max")))
+    trace = asy.iterate_bound(params, float(cfg.get("iterate.R")), k_max)
     rows = [[k, p, a, b] for k, p, a, b in zip(
         trace.ks, trace.profile_terms, trace.forcing_terms, trace.bounds)]
     payload = {
@@ -390,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"output directory (default ${OUT_ENV} or cwd)")
     ap.add_argument("--format", choices=("csv", "json", "both"), default="both")
     ap.add_argument("--tolerance", type=float, default=None)
-    ap.add_argument("--threads", type=int, default=None)
     return ap
 
 
@@ -407,7 +413,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"override must be key=value, got {item!r}")
             key, val = item.split("=", 1)
             entries[key.strip()] = val.strip()
-        cfg = RunConfig(entries, tolerance=args.tolerance, threads=args.threads)
+        cfg = RunConfig(entries, tolerance=args.tolerance)
         outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, outdir, args.format)

@@ -137,10 +137,6 @@ class PowerLawProfile(Profile):
             raise SingularPointError("power-law profile singular at x = 0")
         return self.c * rho**self.radial_power * (-t) ** self.time_power
 
-    def speed_radial(self, rho: np.ndarray, t: float) -> np.ndarray:
-        _check_time(t)
-        return self.c * rho**self.radial_power * (-t) ** self.time_power
-
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)
         return self.speed(x, t)[..., None] * azimuthal_unit(x)
@@ -276,7 +272,6 @@ class DiscreteSelfSimilarProfile(Profile):
     P: Optional[Callable] = None
     U_radial: Optional[Callable] = None
     grad_radial: Optional[Callable] = None
-    P_radial: Optional[Callable] = None
 
     @property
     def time_power(self) -> float:

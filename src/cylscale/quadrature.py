@@ -44,10 +44,8 @@ class QuadratureConfig:
     n_time: int = 16
     n_radial: int = 64
     graded_levels: int = 28
-    angular_rule: str = "exact"
     radial_rule: str = "exact"
     time_rule: str = "exact"
-    rel_tol: float = 1e-2
 
     def __post_init__(self):
         for name in ("n_space", "n_time", "n_radial", "graded_levels"):
@@ -59,8 +57,6 @@ class QuadratureConfig:
             value = getattr(self, name)
             if value not in ("exact", "graded"):
                 raise DomainError(f"{name} must be 'exact' or 'graded', got {value!r}")
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -86,8 +82,14 @@ def graded_nodes(length: float, n: int, levels: int):
     The interval is split into dyadic levels [length*2^-(j+1), length*2^-j]
     plus a core [0, length*2^-levels]; each piece carries a two-point Gauss
     rule.  Exact for cubics per cell, and accurate for integrable power
-    singularities once ``levels`` is large enough.
+    singularities once ``levels`` is large enough.  Each rule is built once
+    per (length, n, levels); the arrays returned are shared and read-only.
     """
+    return _graded_rule(length, n, levels)
+
+
+@lru_cache(maxsize=64)
+def _graded_rule(length: float, n: int, levels: int):
     edges = [length * 2.0 ** (-j) for j in range(levels + 1)]
     edges.append(0.0)
     edges = np.array(edges[::-1])
@@ -105,7 +107,10 @@ def graded_nodes(length: float, n: int, levels: int):
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     order = np.argsort(nodes)
-    return nodes[order], weights[order]
+    nodes, weights = nodes[order], weights[order]
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def graded_time_quadrature(f, T: float, cfg: QuadratureConfig) -> float:

@@ -41,7 +41,11 @@ _TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
-# spatial integrals at fixed time
+# ball integrals at fixed time, keyed by moment
+#
+# A moment key names the integrand: ("speed", p) for |v|^p, ("pressure", p)
+# for |q|^p and ("gradsq",) for |grad v|^2.  GridFields cache their prefix
+# sums under the same keys.
 
 
 def _separable_powers(profile: Profile, kind: str):
@@ -58,11 +62,17 @@ def _separable_powers(profile: Profile, kind: str):
     return None
 
 
-def _ball_power_integral(profile: Profile, kind: str, p: float, r: float,
-                         t: float, cfg: QuadratureConfig) -> float:
-    """int_{B(r)} |field|^p dx at fixed t for field in {speed, pressure}."""
+def _ball_integral(profile: Profile, key, r: float, t: float,
+                   cfg: QuadratureConfig) -> float:
+    """int_{B(r)} of the moment ``key`` at fixed t for an analytic profile.
+
+    Separable |v|^p and |q|^p integrate radially, exactly or on the graded
+    rule; everything else is a Cartesian cell sum.
+    """
+    kind = key[0]
     sep = _separable_powers(profile, kind)
     if sep is not None:
+        p = key[1]
         coef, a, b = sep
         if coef == 0.0:
             return 0.0
@@ -77,22 +87,16 @@ def _ball_power_integral(profile: Profile, kind: str, p: float, r: float,
         radial = float(np.sum(weights * nodes ** (2 + a * p)))
         return FOUR_PI * coef**p * radial * (-t) ** (b * p)
     pts, w = ball_grid(r, cfg.n_space)
+    if kind == "gradsq":
+        vals = profile.grad_norm_sq(pts, t)
+        if vals is None:
+            vals = _gradsq_fd(profile, pts, t, 0.25 * 2.0 * r / cfg.n_space)
+        return float(np.sum(vals)) * w
     if kind == "speed":
         vals = profile.speed(pts, t)
     else:
         vals = np.abs(profile.pressure(pts, t))
-    return float(np.sum(vals**p)) * w
-
-
-def _ball_gradsq_integral(profile: Profile, r: float, t: float,
-                          cfg: QuadratureConfig) -> float:
-    """int_{B(r)} |grad v|^2 dx at fixed t (Cartesian cells)."""
-    pts, w = ball_grid(r, cfg.n_space)
-    g = profile.grad_norm_sq(pts, t)
-    if g is None:
-        h = 0.25 * 2.0 * r / cfg.n_space
-        g = _gradsq_fd(profile, pts, t, h)
-    return float(np.sum(g)) * w
+    return float(np.sum(vals ** key[1])) * w
 
 
 def _gradsq_fd(profile: Profile, pts: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -210,6 +214,52 @@ def _check_radius(field, r: float):
 
 # ---------------------------------------------------------------------------
 # the primitive quantities
+#
+# Each quantity is a Morrey weight r**(-weight) times an unweighted value,
+# which is evaluated once per radius as a pair (S, dt) whose product is the
+# value: dt is the grid's time cell, or 1.0 on the analytic routes.
+
+
+def _weighted(r: float, weight: float, value) -> float:
+    S, dt = value
+    return r ** (-weight) * S * dt
+
+
+def _mass_sup(field, r: float, cfg: QuadratureConfig, mu: float = 1.0,
+              times: Optional[Sequence[float]] = None):
+    """max over time samples in (-mu r^2, 0) of int_{B(r)} |v|^2 dx."""
+    T = mu * r**2
+    if isinstance(field, GridField):
+        idx, _ = _grid_times_in(field, T)
+        vals = _grid_ball_sums(field, ("speed", 2.0), r)[idx]
+    else:
+        if times is None:
+            times = centered_times(T, cfg.n_time)
+        vals = [_ball_integral(field, ("speed", 2.0), r, t, cfg) for t in times]
+    return float(np.max(vals)), 1.0
+
+
+def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
+                       mu: float = 1.0, l: Optional[float] = None):
+    """int over (-mu r^2, 0) of I(t) dt, I(t) the integral of the moment
+    ``key`` over B(r), or with ``l`` given (key ("speed", p)) of I(t)**(l/p).
+    """
+    T = mu * r**2
+    q = None if l is None else l / key[1]
+    if isinstance(field, GridField):
+        idx, dt = _grid_times_in(field, T)
+        I = _grid_ball_sums(field, key, r)[idx]
+        return float(np.sum(I if q is None else I**q)), dt
+    if q is None:
+        G = lambda t: _ball_integral(field, key, r, t, cfg)
+    else:
+        G = lambda t: _ball_integral(field, key, r, t, cfg) ** q
+    # a separable |v|^p or |q|^p has I(t) ~ (-t)**(b p), |grad v|^2 (-t)**(2 b)
+    # and I(t)**(l/p) (-t)**(b l), b the time power of |v| or |q|
+    sep = _separable_powers(field, "pressure" if key[0] == "pressure" else "speed")
+    power = l if l is not None else key[1] if len(key) > 1 else 2
+    e = None if sep is None else sep[2] * power
+    return _time_integrate(G, e, T, cfg, getattr(field, "steady", False)), 1.0
 
 
 def sup_weighted_mass(field, r: float, weight: float,
@@ -221,15 +271,7 @@ def sup_weighted_mass(field, r: float, weight: float,
     never interpolated.
     """
     _check_radius(field, r)
-    T = mu * r**2
-    if isinstance(field, GridField):
-        idx, _ = _grid_times_in(field, T)
-        vals = _grid_ball_sums(field, ("speed", 2.0), r)[idx]
-    else:
-        if times is None:
-            times = centered_times(T, cfg.n_time)
-        vals = [_ball_power_integral(field, "speed", 2.0, r, t, cfg) for t in times]
-    return r ** (-weight) * float(np.max(vals))
+    return _weighted(r, weight, _mass_sup(field, r, cfg, mu, times))
 
 
 def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
@@ -240,16 +282,7 @@ def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
     if kind not in ("speed", "pressure"):
         raise DomainError(f"kind must be 'speed' or 'pressure', got {kind!r}")
     _check_radius(field, r)
-    T = mu * r**2
-    if isinstance(field, GridField):
-        idx, dt = _grid_times_in(field, T)
-        per_time = _grid_ball_sums(field, (kind, p), r)
-        return r ** (-weight) * float(np.sum(per_time[idx])) * dt
-    sep = _separable_powers(field, kind)
-    e = sep[2] * p if sep is not None else None
-    steady = getattr(field, "steady", False)
-    G = lambda t: _ball_power_integral(field, kind, p, r, t, cfg)
-    return r ** (-weight) * _time_integrate(G, e, T, cfg, steady)
+    return _weighted(r, weight, _cylinder_integral(field, (kind, p), r, cfg, mu))
 
 
 def cylinder_gradsq_integral(field, r: float, weight: float,
@@ -257,16 +290,7 @@ def cylinder_gradsq_integral(field, r: float, weight: float,
                              mu: float = 1.0) -> float:
     """r**(-weight) * int over Q^{1,mu}(r) of |grad v|^2."""
     _check_radius(field, r)
-    T = mu * r**2
-    if isinstance(field, GridField):
-        idx, dt = _grid_times_in(field, T)
-        per_time = _grid_ball_sums(field, ("gradsq",), r)
-        return r ** (-weight) * float(np.sum(per_time[idx])) * dt
-    sep = _separable_powers(field, "speed")
-    e = 2 * sep[2] if sep is not None else None
-    steady = getattr(field, "steady", False)
-    G = lambda t: _ball_gradsq_integral(field, r, t, cfg)
-    return r ** (-weight) * _time_integrate(G, e, T, cfg, steady)
+    return _weighted(r, weight, _cylinder_integral(field, ("gradsq",), r, cfg, mu))
 
 
 def m_quantity(field, R: float, s: float, l: float, m0: float,
@@ -278,17 +302,7 @@ def m_quantity(field, R: float, s: float, l: float, m0: float,
     """
     _check_radius(field, R)
     k = kappa(s, l)
-    T = mu * R**2
-    if isinstance(field, GridField):
-        idx, dt = _grid_times_in(field, T)
-        S = _grid_ball_sums(field, ("speed", s), R)
-        M = R ** (-k) * float(np.sum(S[idx] ** (l / s))) * dt
-    else:
-        sep = _separable_powers(field, "speed")
-        e = sep[2] * l if sep is not None else None  # (b*s)*(l/s)
-        steady = getattr(field, "steady", False)
-        G = lambda t: _ball_power_integral(field, "speed", s, R, t, cfg) ** (l / s)
-        M = R ** (-k) * _time_integrate(G, e, T, cfg, steady)
+    M = _weighted(R, k, _cylinder_integral(field, ("speed", s), R, cfg, mu, l))
     return M, R ** ((1.0 - m0) * k) * M
 
 
@@ -368,24 +382,27 @@ class QuantityReport:
 def energy_quantities(field, r: float, params: ExponentParams,
                       cfg: QuadratureConfig = DEFAULT_CONFIG,
                       mu: float = 1.0) -> QuantityRow:
-    """One report row: plain and Morrey-weighted quantities plus mixed norms."""
+    """One report row: plain and Morrey-weighted quantities plus mixed norms.
+
+    A, E, C, D and H are each integrated once; the two weights of each are
+    powers of r applied afterwards.
+    """
+    _check_radius(field, r)
     m = float(params.m)
     m1 = float(params.m1)
-    A1 = sup_weighted_mass(field, r, 1.0, cfg, mu)
-    Am1 = sup_weighted_mass(field, r, m1, cfg, mu)
-    E1 = cylinder_gradsq_integral(field, r, 1.0, cfg, mu)
-    Em = cylinder_gradsq_integral(field, r, m, cfg, mu)
-    C1 = cylinder_power_integral(field, "speed", 3.0, r, 2.0, cfg, mu)
-    Cmt = cylinder_power_integral(field, "speed", 3.0, r, 2.0 * m, cfg, mu)
-    D1 = cylinder_power_integral(field, "pressure", 1.5, r, 2.0, cfg, mu)
-    Dm = cylinder_power_integral(field, "pressure", 1.5, r, 2.0 * m, cfg, mu)
-    H1 = cylinder_power_integral(field, "speed", 2.0, r, 3.0, cfg, mu)
-    Hn = cylinder_power_integral(field, "speed", 2.0, r, m + 2.0, cfg, mu)
+    A = _mass_sup(field, r, cfg, mu)
+    E = _cylinder_integral(field, ("gradsq",), r, cfg, mu)
+    C = _cylinder_integral(field, ("speed", 3.0), r, cfg, mu)
+    D = _cylinder_integral(field, ("pressure", 1.5), r, cfg, mu)
+    H = _cylinder_integral(field, ("speed", 2.0), r, cfg, mu)
     Mk, Mk0 = m_quantity(field, r, float(params.s), float(params.l),
                          float(params.m0), cfg, mu)
     return QuantityRow(
-        r=r, A=A1, E=E1, C=C1, D=D1, H=H1, A_m1=Am1, E_m=Em, D_m=Dm,
-        C_mt=Cmt, H_n=Hn, M_kappa=Mk, M_kappa_m0=Mk0,
+        r=r, A=_weighted(r, 1.0, A), E=_weighted(r, 1.0, E),
+        C=_weighted(r, 2.0, C), D=_weighted(r, 2.0, D), H=_weighted(r, 3.0, H),
+        A_m1=_weighted(r, m1, A), E_m=_weighted(r, m, E),
+        D_m=_weighted(r, 2.0 * m, D), C_mt=_weighted(r, 2.0 * m, C),
+        H_n=_weighted(r, m + 2.0, H), M_kappa=Mk, M_kappa_m0=Mk0,
     )
 
 
@@ -440,15 +457,15 @@ def inequality_ratios(field, r: float, rho: float, params: ExponentParams,
     m = float(params.m)
     m1 = float(params.m1)
 
-    Am1 = sup_weighted_mass(field, r, m1, cfg)
-    Em = cylinder_gradsq_integral(field, r, m, cfg)
-    Cmt = cylinder_power_integral(field, "speed", 3.0, r, 2.0 * m, cfg)
+    A = _mass_sup(field, r, cfg)
+    E = _cylinder_integral(field, ("gradsq",), r, cfg)
+    C = _cylinder_integral(field, ("speed", 3.0), r, cfg)
+
+    Am1, Em, Cmt = _weighted(r, m1, A), _weighted(r, m, E), _weighted(r, 2.0 * m, C)
     pref = r ** (1.5 * m1 + 0.5 - 2.0 * m)
     mult_w = _ratio(Cmt, pref * Am1**0.75 * (r ** (m - m1) * Em + Am1) ** 0.75)
 
-    A1 = sup_weighted_mass(field, r, 1.0, cfg)
-    E1 = cylinder_gradsq_integral(field, r, 1.0, cfg)
-    C1 = cylinder_power_integral(field, "speed", 3.0, r, 2.0, cfg)
+    A1, E1, C1 = _weighted(r, 1.0, A), _weighted(r, 1.0, E), _weighted(r, 2.0, C)
     mult = _ratio(C1, A1**0.75 * (E1 + A1) ** 0.75)
 
     D1r = cylinder_power_integral(field, "pressure", 1.5, r, 2.0, cfg)

@@ -258,15 +258,3 @@ def _one_sided(name: str, a: float, lhs: float, rhs: float,
         slack=slack, tolerance=tolerance, passed=slack >= -tolerance * scale,
     )
 
-
-def write_invariance_csv(rows, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(INVARIANCE_COLUMNS)
-        for row in rows:
-            w.writerow([
-                row.relation, repr(row.a), repr(row.lhs), repr(row.rhs),
-                repr(row.slack), repr(row.tolerance), row.passed,
-            ])

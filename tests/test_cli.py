@@ -160,6 +160,31 @@ class TestLiouvilleAndIterate:
         rows = read_csv(tmp_path, "iterate")
         assert len(rows) == 52  # header + k = 0..50
 
+    @pytest.mark.parametrize("command, override", [
+        ("quantities", "ladder.count=inf"), ("quantities", "ladder.count=2.5"),
+        ("iterate", "iterate.k_max=inf"), ("iterate", "iterate.k_max=0"),
+    ])
+    def test_bad_count_exits_invalid(self, tmp_path, capsys, command, override):
+        assert run(tmp_path, command, override) == EXIT_INVALID
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_k_max_over_limit_refused_before_iterating(self, tmp_path, monkeypatch):
+        from cylscale import asymptotics
+        from cylscale.cli import K_MAX_LIMIT, ConfigError, RunConfig
+
+        def no_iteration(*args):
+            raise AssertionError("iterate_bound ran")
+
+        monkeypatch.setattr(asymptotics, "iterate_bound", no_iteration)
+        over = f"iterate.k_max={K_MAX_LIMIT + 1}"
+        assert run(tmp_path, "iterate", over) == EXIT_INVALID
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ConfigError):
+            RunConfig({"iterate.k_max": str(K_MAX_LIMIT + 1)}).count(
+                "iterate.k_max", K_MAX_LIMIT)
+        assert RunConfig({}).count("iterate.k_max", K_MAX_LIMIT) == 400
+
     def test_iterate_window_guard(self, tmp_path):
         assert run(tmp_path, "iterate", "iterate.m=0.7") == EXIT_INVALID
 

@@ -88,6 +88,15 @@ class TestPowerLawClosedForms:
         got = cylinder_power_integral(self.prof, "speed", 3.0, r, 2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_gradsq_time_weight_exact(self):
+        # the Cartesian sum of |grad v|^2 scales as (-t)**(2 b); the exact
+        # time weight must match a fine graded time rule
+        fine = QuadratureConfig(n_space=12, n_time=64, graded_levels=40,
+                                time_rule="graded")
+        exact = cylinder_gradsq_integral(self.prof, 0.7, 1.0, QuadratureConfig(n_space=12))
+        want = cylinder_gradsq_integral(self.prof, 0.7, 1.0, fine)
+        assert exact == pytest.approx(want, rel=1e-5)
+
     def test_graded_route_matches_exact(self):
         cfg = QuadratureConfig(n_radial=64, graded_levels=80,
                                radial_rule="graded", time_rule="graded")
@@ -313,6 +322,96 @@ class TestReports:
         assert _ratio(0.0, 0.0) == 0.0
         with pytest.raises(InequalityStructureError):
             _ratio(1.0, 0.0)
+
+
+def _row_from_primitives(field, r, params, cfg, mu):
+    m, m1 = float(params.m), float(params.m1)
+    power = lambda kind, p, w: cylinder_power_integral(field, kind, p, r, w, cfg, mu)
+    Mk, Mk0 = m_quantity(field, r, float(params.s), float(params.l),
+                         float(params.m0), cfg, mu)
+    return {
+        "A": sup_weighted_mass(field, r, 1.0, cfg, mu),
+        "A_m1": sup_weighted_mass(field, r, m1, cfg, mu),
+        "E": cylinder_gradsq_integral(field, r, 1.0, cfg, mu),
+        "E_m": cylinder_gradsq_integral(field, r, m, cfg, mu),
+        "C": power("speed", 3.0, 2.0), "C_mt": power("speed", 3.0, 2.0 * m),
+        "D": power("pressure", 1.5, 2.0), "D_m": power("pressure", 1.5, 2.0 * m),
+        "H": power("speed", 2.0, 3.0), "H_n": power("speed", 2.0, m + 2.0),
+        "M_kappa": Mk, "M_kappa_m0": Mk0,
+    }
+
+
+def _ratios_from_primitives(field, r, rho, params, cfg):
+    """inequality_ratios spelled out with one public primitive per term."""
+    from cylscale.quantities import _ratio
+
+    m, m1 = float(params.m), float(params.m1)
+    Am1 = sup_weighted_mass(field, r, m1, cfg)
+    Em = cylinder_gradsq_integral(field, r, m, cfg)
+    Cmt = cylinder_power_integral(field, "speed", 3.0, r, 2.0 * m, cfg)
+    pref = r ** (1.5 * m1 + 0.5 - 2.0 * m)
+    A1 = sup_weighted_mass(field, r, 1.0, cfg)
+    E1 = cylinder_gradsq_integral(field, r, 1.0, cfg)
+    C1 = cylinder_power_integral(field, "speed", 3.0, r, 2.0, cfg)
+    D1r = cylinder_power_integral(field, "pressure", 1.5, r, 2.0, cfg)
+    D1rho = cylinder_power_integral(field, "pressure", 1.5, rho, 2.0, cfg)
+    C1rho = cylinder_power_integral(field, "speed", 3.0, rho, 2.0, cfg)
+    C12r = cylinder_power_integral(field, "speed", 3.0, 2 * r, 2.0, cfg)
+    D12r = cylinder_power_integral(field, "pressure", 1.5, 2 * r, 2.0, cfg)
+    return {
+        "multiplicative_weighted": _ratio(
+            Cmt, pref * Am1**0.75 * (r ** (m - m1) * Em + Am1) ** 0.75),
+        "multiplicative": _ratio(C1, A1**0.75 * (E1 + A1) ** 0.75),
+        "pressure_decay": _ratio(D1r, (r / rho) * D1rho + (rho / r) ** 2 * C1rho),
+        "energy_local": _ratio(A1 + E1, C12r ** (2.0 / 3.0) + C12r + D12r),
+    }
+
+
+_POWER_LAW = PowerLawProfile(c=1.1, alpha_p=0.5, gamma_p=1.0857, pressure_coeff=0.6)
+
+
+class TestSharedBackend:
+    """energy_quantities and inequality_ratios integrate each quantity once
+    per radius and weight it afterwards; the values must be exactly those of
+    the public primitives, one call per weight, on every route."""
+
+    params = derive(2.8, 2.6, 0.9)
+    routes = [
+        (_POWER_LAW, QuadratureConfig(), 1.0),
+        (_POWER_LAW, QuadratureConfig(n_radial=32, graded_levels=12,
+                                      radial_rule="graded", time_rule="graded"), 1.0),
+        (SteadyShearProfile(amplitude=1.5, wavenumber=2.0),
+         QuadratureConfig(n_space=10, n_time=4), 0.5),
+        (sample(_SmoothProfile(), CylinderSpec(1.0), 10, 8), QuadratureConfig(), 1.0),
+    ]
+    ids = ["exact", "graded", "cartesian", "grid"]
+
+    @pytest.mark.parametrize("field, cfg, mu", routes, ids=ids)
+    def test_row_equals_primitives(self, field, cfg, mu):
+        for r in (0.5, 1.0):
+            row = energy_quantities(field, r, self.params, cfg, mu)
+            for name, want in _row_from_primitives(field, r, self.params, cfg, mu).items():
+                assert getattr(row, name) == want, (r, name)
+
+    @pytest.mark.parametrize("field, cfg, mu", routes, ids=ids)
+    def test_ratios_equal_primitives(self, field, cfg, mu):
+        got = inequality_ratios(field, 0.3, 0.5, self.params, cfg)
+        for name, want in _ratios_from_primitives(field, 0.3, 0.5, self.params,
+                                                  cfg).items():
+            assert getattr(got, name) == want, name
+
+    def test_graded_rule_shared_and_read_only(self):
+        from cylscale.quadrature import _graded_rule, graded_nodes
+
+        nodes, weights = graded_nodes(0.7, 48, 10)
+        assert graded_nodes(0.7, 48, 10)[0] is nodes
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        fresh_nodes, fresh_weights = _graded_rule.__wrapped__(0.7, 48, 10)
+        assert np.array_equal(fresh_nodes, nodes)
+        assert np.array_equal(fresh_weights, weights)
+        assert fresh_nodes is not nodes
 
 
 class TestPowerKinds:
