@@ -16,8 +16,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fields import DiscreteSelfSimilarProfile
+from .fields import DiscreteSelfSimilarProfile, Profile
 from .quadrature import DEFAULT_CONFIG, FOUR_PI, QuadratureConfig, ball_grid, graded_nodes
+from .quantities import _ball_integral, _gradsq_fd
 
 SLOPE_SLACK = 0.05
 DEFAULT_LADDER = tuple(float(2**j) for j in range(11))
@@ -154,12 +155,6 @@ class GrowthEnvelope:
     running_sup: tuple
     slope: float
     bounded: bool
-
-    CSV_COLUMNS = ("b", "normalized_mass", "running_sup")
-
-    def to_csv_rows(self):
-        for b, m, s in zip(self.ladder, self.masses, self.running_sup):
-            yield [repr(b), repr(m), repr(s)]
 
 
 def _fit_slope(ladder, masses) -> float:
@@ -298,6 +293,32 @@ class SlabBoundRow:
     passed: bool
 
 
+#: each slab row and the moment key of its integrand
+_SLAB_MOMENTS = {"sup_mass": ("speed", 2.0), "slab_gradsq": ("gradsq",),
+                 "slab_pressure": ("pressure", 1.5), "slab_cubed": ("speed", 3.0)}
+
+
+@dataclass(frozen=True)
+class _FixedTau(Profile):
+    """A discrete self-similar profile at one log-time tau, as a steady field
+    of the similarity variable y; |grad U|^2 is a central difference of step h."""
+
+    profile: DiscreteSelfSimilarProfile
+    tau: float
+    h: float
+
+    def velocity(self, y, t):
+        return np.asarray(self.profile.U(y, self.tau), dtype=float)
+
+    def pressure(self, y, t):
+        if self.profile.P is None:
+            return np.zeros(y.shape[:-1])
+        return np.asarray(self.profile.P(y, self.tau), dtype=float)
+
+    def grad_norm_sq(self, y, t):
+        return _gradsq_fd(self, y, t, self.h)
+
+
 def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
                     ladder: Sequence[float], S0: Optional[float] = None,
                     m: float = 0.55, n_tau: int = 8,
@@ -321,62 +342,23 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
     taus = S0 * (np.arange(n_tau) + 0.5) / n_tau
     dtau = S0 / n_tau
 
-    sup_mass, grad_mass, prs_mass, cube_mass = [], [], [], []
+    masses = []  # per R: the sup over tau, then the three slab integrals
     for R in ladder:
-        pts, w = ball_grid(2.0 * R, cfg.n_space)
-        per_tau_sq = []
-        grad_tot = prs_tot = cube_tot = 0.0
-        for tau in taus:
-            U = np.asarray(profile.U(pts, tau), dtype=float)
-            if U.ndim == pts.ndim:
-                U2 = np.einsum("...i,...i->...", U, U)
-            else:
-                U2 = np.abs(U) ** 2
-            per_tau_sq.append(float(np.sum(U2)) * w)
-            cube_tot += dtau * float(np.sum(U2**1.5)) * w
-            if profile.P is not None:
-                P = np.abs(np.asarray(profile.P(pts, tau), dtype=float))
-                prs_tot += dtau * float(np.sum(P**1.5)) * w
-            g = _slab_gradsq(profile, pts, tau, 2.0 * R / cfg.n_space)
-            grad_tot += dtau * float(np.sum(g)) * w
-        sup_mass.append(max(per_tau_sq))
-        grad_mass.append(grad_tot)
-        prs_mass.append(prs_tot)
-        cube_mass.append(cube_tot)
+        h = 0.25 * 2.0 * R / cfg.n_space  # an eighth of a B(2R) cell
+        views = [_FixedTau(profile, tau, h) for tau in taus]
+        sq, *slabs = zip(*([_ball_integral(view, key, 2.0 * R, -1.0, cfg)
+                            for key in _SLAB_MOMENTS.values()] for view in views))
+        masses.append([max(sq)] + [sum(dtau * v for v in slab) for slab in slabs])
 
     rows = []
-    for name, masses, target in (
-        ("sup_mass", sup_mass, m1),
-        ("slab_gradsq", grad_mass, m),
-        ("slab_pressure", prs_mass, 2.0 * m),
-        ("slab_cubed", cube_mass, 0.75 * (m + m1)),
-    ):
-        slope = _fit_slope(ladder, masses)
+    targets = (m1, m, 2.0 * m, 0.75 * (m + m1))
+    for name, target, col in zip(_SLAB_MOMENTS, targets, zip(*masses)):
+        slope = _fit_slope(ladder, col)
         rows.append(SlabBoundRow(
             quantity=name, target_exponent=target, fitted_slope=slope,
-            masses=tuple(masses), passed=slope <= target + SLOPE_SLACK,
+            masses=col, passed=slope <= target + SLOPE_SLACK,
         ))
     return rows
-
-
-def _slab_gradsq(profile: DiscreteSelfSimilarProfile, pts: np.ndarray,
-                 tau: float, h: float) -> np.ndarray:
-    if profile.grad_radial is not None:
-        rho = np.linalg.norm(pts, axis=-1)
-        return np.asarray(profile.grad_radial(rho, tau), dtype=float)
-    step_len = 0.25 * h
-    g = np.zeros(pts.shape[:-1])
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = step_len
-        up = np.asarray(profile.U(pts + step, tau), dtype=float)
-        dn = np.asarray(profile.U(pts - step, tau), dtype=float)
-        dv = (up - dn) / (2.0 * step_len)
-        if dv.ndim == pts.ndim:
-            g += np.einsum("...i,...i->...", dv, dv)
-        else:
-            g += dv * dv
-    return g
 
 
 # ---------------------------------------------------------------------------

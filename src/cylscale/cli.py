@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -168,23 +170,21 @@ class RunConfig:
         start = float(self.get("ladder.start"))
         factor = float(self.get("ladder.factor"))
         count = self.count("ladder.count")
-        if start <= 0 or factor <= 1:
-            raise ConfigError("ladder needs start > 0, factor > 1")
-        return [start * factor**j for j in range(count)]
+        for key, value, low in (("ladder.start", start, 0), ("ladder.factor", factor, 1)):
+            if not low < value < math.inf:
+                raise ConfigError(f"{key} must be finite and exceed {low}, got {value!r}")
+        try:
+            radii = [start * factor**j for j in range(count)]
+        except OverflowError:
+            radii = [math.inf]
+        if radii[-1] == math.inf:
+            raise ConfigError(f"ladder radius overflows: ladder.start={start!r} times "
+                              f"ladder.factor={factor!r} to the power {count - 1}")
+        return radii
 
     def provenance(self) -> dict:
-        q = self.quadrature()
-        return {
-            "tolerance": self.tolerance,
-            "quadrature": {
-                "n_space": q.n_space,
-                "n_time": q.n_time,
-                "n_radial": q.n_radial,
-                "graded_levels": q.graded_levels,
-                "radial_rule": q.radial_rule,
-                "time_rule": q.time_rule,
-            },
-        }
+        return {"tolerance": self.tolerance,
+                "quadrature": dataclasses.asdict(self.quadrature())}
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +383,13 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit EXIT_INVALID, not argparse's 2
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cylscale",
         description="Exponent algebra, scaled energy quantities and "
         "iteration verdicts on parabolic cylinders.",
@@ -401,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         entries = {}
         if args.config is not None:
             if not args.config.exists():

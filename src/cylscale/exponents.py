@@ -84,6 +84,11 @@ def kappa(s: Number, l: Number) -> Number:
     return l * (3 / s + 2 / l - 1)
 
 
+def q_interp(s: Number, l: Number) -> Number:
+    """The interpolation exponent q = 2l (3/s + 2/l - 1 - 1/2)."""
+    return 2 * l * (3 / s + 2 / l - 1 - _half(_is_exact(s, l)))
+
+
 def strong_admissibility(s: Number, l: Number) -> bool:
     """Strict window 1 > 3/s + 2/l - 1 > 1/2 + max(1/(2l), 1/2 - 1/l)."""
     if s < 1 or l < 1:
@@ -120,11 +125,9 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
     s = _n(s, exact)
     l = _n(l, exact)
     m0 = _n(m0, exact)
-    half = _half(exact)
 
     mid = 3 / s + 2 / l - 1  # the quantity the admissibility window bounds
     k = kappa(s, l)
-    q_interp = 2 * l * (mid - half)
 
     base = l * (3 / s + 1)
     denom = base + (m0 - 1) * k
@@ -150,7 +153,7 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
         sl=SLPair(s, l),
         m0=m0,
         kappa=k,
-        q_interp=q_interp,
+        q_interp=q_interp(s, l),
         alpha=alpha,
         m=m,
         m1=m1,
@@ -346,7 +349,7 @@ def interpolation_splits(s: Number, l: Number) -> list:
     splits = []
 
     # three-factor Hoelder/Gagliardo-Nirenberg split, valid on the strong window
-    q = 2 * l * (3 / s + 2 / l - 3 * half)
+    q = q_interp(s, l)
     if strong_admissibility(s, l):
         lam = (l / q) * (1 / s)
         gam = (l / q) * (2 / s + 1 / l - 1)
@@ -454,9 +457,8 @@ def weighted_kappa(s: Number, l: Number, n: Number) -> WeightedKappa:
     s = _n(s, exact)
     l = _n(l, exact)
     n = _n(n, exact)
-    half = _half(exact)
     k = kappa(s, l)
-    q = 2 * l * (3 / s + 2 / l - 3 * half)
+    q = q_interp(s, l)
     kappa_n = n * k + q * (1 - n)
     m0_star = None
     interior = None

@@ -234,24 +234,17 @@ class SelfSimilarProfile(Profile):
     alpha: float = 1.5
     U: Callable = None
     P: Optional[Callable] = None
-    #: optional radial magnitude |U|(rho) for radial-quadrature routes
-    U_radial: Optional[Callable] = None
 
     @property
     def time_power(self) -> float:
         return -self.alpha / (self.alpha + 1)
 
-    def _similarity_point(self, x, t):
-        _check_time(t)
-        x = np.asarray(x, dtype=float)
-        return x * (-t) ** (-1.0 / (self.alpha + 1))
-
     def velocity(self, x, t):
-        y = self._similarity_point(x, t)
+        y = _similarity_point(self.alpha, x, t)
         return (-t) ** self.time_power * np.asarray(self.U(y), dtype=float)
 
     def pressure(self, x, t):
-        y = self._similarity_point(x, t)
+        y = _similarity_point(self.alpha, x, t)
         scale = (-t) ** (-2 * self.alpha / (self.alpha + 1))
         if self.P is None:
             return np.zeros(y.shape[:-1])
@@ -262,16 +255,16 @@ class SelfSimilarProfile(Profile):
 class DiscreteSelfSimilarProfile(Profile):
     """Self-similar form with a profile periodic in the log-time variable.
 
-    ``U(y, tau)`` has period ``S0`` in tau = -ln(-t); the physical field
-    satisfies the scaling identity only for lam = exp(S0/(alpha+1)).
+    ``U(y, tau)`` maps (..., 3) points to (..., 3) vectors and has period
+    ``S0`` in tau = -ln(-t); ``P(y, tau)`` is the matching pressure profile
+    (default zero).  The physical field satisfies the scaling identity only
+    for lam = exp(S0/(alpha+1)).
     """
 
     alpha: float = 1.5
     S0: float = 1.0
     U: Callable = None
     P: Optional[Callable] = None
-    U_radial: Optional[Callable] = None
-    grad_radial: Optional[Callable] = None
 
     @property
     def time_power(self) -> float:
@@ -282,22 +275,15 @@ class DiscreteSelfSimilarProfile(Profile):
         return float(np.exp(self.S0 / (self.alpha + 1)))
 
     def velocity(self, x, t):
-        _check_time(t)
-        x = np.asarray(x, dtype=float)
-        y = x * (-t) ** (-1.0 / (self.alpha + 1))
-        tau = -np.log(-t)
-        return (-t) ** self.time_power * np.asarray(self.U(y, tau), dtype=float)
+        y = _similarity_point(self.alpha, x, t)
+        return (-t) ** self.time_power * np.asarray(self.U(y, -np.log(-t)), dtype=float)
 
     def pressure(self, x, t):
-        _check_time(t)
-        x = np.asarray(x, dtype=float)
-        y = x * (-t) ** (-1.0 / (self.alpha + 1))
-        tau = -np.log(-t)
+        y = _similarity_point(self.alpha, x, t)
         if self.P is None:
             return np.zeros(y.shape[:-1])
-        return (-t) ** (-2 * self.alpha / (self.alpha + 1)) * np.asarray(
-            self.P(y, tau), dtype=float
-        )
+        scale = (-t) ** (-2 * self.alpha / (self.alpha + 1))
+        return scale * np.asarray(self.P(y, -np.log(-t)), dtype=float)
 
 
 def steady_to_discrete(profile: SelfSimilarProfile, S0: float) -> DiscreteSelfSimilarProfile:
@@ -307,15 +293,18 @@ def steady_to_discrete(profile: SelfSimilarProfile, S0: float) -> DiscreteSelfSi
         S0=S0,
         U=lambda y, tau: profile.U(y),
         P=None if profile.P is None else (lambda y, tau: profile.P(y)),
-        U_radial=None
-        if profile.U_radial is None
-        else (lambda rho, tau: profile.U_radial(rho)),
     )
 
 
 def _check_time(t):
     if not np.all(np.asarray(t) < 0):
         raise SingularPointError(f"profiles are defined for t < 0, got t={t}")
+
+
+def _similarity_point(alpha: float, x, t):
+    """y = x * (-t)**(-1/(alpha+1)), the similarity variable of (x, t)."""
+    _check_time(t)
+    return np.asarray(x, dtype=float) * (-t) ** (-1.0 / (alpha + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +398,10 @@ def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> Gr
 
 def divergence_residual(obj) -> float:
     """Max-norm centered-difference divergence over interior nodes."""
-    if isinstance(obj, GridField):
-        field = obj
-    else:
+    if not isinstance(obj, GridField):
         raise TypeError("divergence_residual expects a GridField")
-    h = field.cell_size
-    u = field.velocity
+    h = obj.cell_size
+    u = obj.velocity
     div = (
         (u[:, 2:, 1:-1, 1:-1, 0] - u[:, :-2, 1:-1, 1:-1, 0])
         + (u[:, 1:-1, 2:, 1:-1, 1] - u[:, 1:-1, :-2, 1:-1, 1])

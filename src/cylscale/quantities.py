@@ -9,7 +9,6 @@ scaling identities survive discretization to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -36,8 +35,6 @@ from .quadrature import (
     power_radial_integral,
     power_time_integral,
 )
-
-_TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +115,8 @@ def _time_integrate(Gfun, time_exponent: Optional[float], T: float,
         tref = -T / 2
         K = Gfun(tref) / (-tref) ** time_exponent
         return K * power_time_integral(time_exponent, T)
-    return graded_time_quadrature(lambda u: _vec(Gfun)(-u), T, cfg)
-
-
-def _vec(f):
-    def g(t):
-        t = np.asarray(t)
-        if t.ndim == 0:
-            return f(float(t))
-        return np.array([f(float(v)) for v in t])
-
-    return g
+    return graded_time_quadrature(lambda u: np.array([Gfun(-float(v)) for v in u]),
+                                  T, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +187,12 @@ def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
     return table[:, k] * field.cell_size**3
 
 
-def max_radius(field) -> float:
-    if isinstance(field, GridField):
-        return field.cylinder.space_radius
-    return math.inf
-
-
 def _check_radius(field, r: float):
     if r <= 0:
         raise RadiusError(f"radius must be positive, got {r}")
-    if r > max_radius(field) * (1 + 1e-12):
-        raise RadiusError(f"radius {r} exceeds the field cylinder {max_radius(field)}")
+    if isinstance(field, GridField) and r > field.cylinder.space_radius * (1 + 1e-12):
+        raise RadiusError(f"radius {r} exceeds the field cylinder "
+                          f"{field.cylinder.space_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +330,7 @@ class QuantityRow:
     E_m: float
     D_m: float
     C_mt: float
-    H_n: float
+    H_n: float  # emitted by no artifact; perfbench/workloads.py checks it
     M_kappa: float
     M_kappa_m0: float
 
@@ -372,11 +355,7 @@ class QuantityReport:
 
     def to_csv_rows(self):
         for row in self.rows:
-            yield [
-                row.r, row.A, row.E, row.C, row.D, row.H, row.A_m1,
-                row.E_m, row.D_m, row.C_mt, row.M_kappa, row.M_kappa_m0,
-                row.calE,
-            ]
+            yield [getattr(row, c) for c in self.CSV_COLUMNS]
 
 
 def energy_quantities(field, r: float, params: ExponentParams,

@@ -5,6 +5,7 @@ release.  Property scope (sample counts, ladders, resolutions) matches the
 stated budgets.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -255,3 +256,47 @@ def test_criterion_11_suite_determinism(tmp_path):
     assert names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+#: SHA-256 of each default ``cylscale suite`` artifact.  A change that moves
+#: the output on purpose regenerates these with
+#:   cylscale suite --out DIR && sha256sum DIR/*
+#: and says so in CHANGES.md.
+SUITE_SHA256 = {
+    "construct.csv":
+        "7cb65826abbf1b897cb2826a2f7fd5a9db5f88c990dbf61dabb1307d2fc057f3",
+    "construct.json":
+        "50ded69d98d367be2e82c7da366a2bb41995979e95708717d40324b84a8b6e91",
+    "exponents.csv":
+        "06c3e7a141154200a373ed2c3ebd8f91ceee6388291b780294650f855c10654e",
+    "exponents.json":
+        "15b328d994745dd1e07a8ed60fea9172818a05eaefd0c788ffa638a66f812555",
+    "iterate.csv":
+        "4bb291eae9bb8153547d37489d480f0481b2557a66cbc94fcf0bb6fb03567cf4",
+    "iterate.json":
+        "c161bf63856c23483db1a1e0e23d1c08e9c4311ba9bd93a378ac60f64ad4d76f",
+    "liouville.csv":
+        "ed3b84da8001f94437c7a0564a2286c61f51c36e6dca3db9efa60246bf05834a",
+    "liouville.json":
+        "a1f3ceba2314cd647469e25ea0746dda8c39898dd8081d533164f81ff118eb5e",
+    "quantities.csv":
+        "c15e721e3a73ffab06562499f8152e0b5919997f6804866f81d18b0697449174",
+    "quantities.json":
+        "6d8c9cfbbfaa902e51545dc835ffa96a166b9018e049a708c3308ae145e60dd0",
+    "scale_check.csv":
+        "c9f331062af60b2b3c001fe1cd843a3530c391cdeb27e159bff9f6e06917d31f",
+    "scale_check.json":
+        "1bfe1b3e979b9290a59427ab25f52208fee522fc4bc8f97cd371c58a3893b88e",
+}
+
+
+def test_criterion_11_suite_bytes_pinned(tmp_path):
+    """The default suite writes exactly the pinned artifacts."""
+    assert cli_main(["suite", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SUITE_SHA256)
+    for name, digest in SUITE_SHA256.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, (
+            f"{name} changed (sha256 {got}); if the change is intended, "
+            f"regenerate SUITE_SHA256 with `cylscale suite --out DIR && "
+            f"sha256sum DIR/*` and record it in CHANGES.md")

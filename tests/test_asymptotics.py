@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cylscale import (
+    DiscreteSelfSimilarProfile,
     DomainError,
     IterationParams,
     QuadratureConfig,
@@ -21,6 +22,7 @@ from cylscale import (
     liouville_verdict,
     steady_to_discrete,
 )
+from cylscale.quadrature import ball_grid
 
 
 class TestDeriveParams:
@@ -220,6 +222,46 @@ class TestDssSlabBounds:
         for row in rows:
             assert all(m == 0.0 for m in row.masses)
             assert row.passed
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_masses_match_brute_force(self, periodic):
+        """Cell sums over B(2R), |grad U|^2 by central differences of step
+        0.25 * 2R/n (an eighth of a cell), slab integrals by the tau midpoint
+        rule; a steady Gaussian, and a periodic one with a pressure."""
+        U0 = _gaussian_ss().U
+        if periodic:
+            dss = DiscreteSelfSimilarProfile(
+                alpha=1.5, S0=0.4, U=lambda y, tau: (1.0 + 0.5 * math.sin(tau)) * U0(y),
+                P=lambda y, tau: -math.cos(tau) * np.exp(-np.einsum("...i,...i->...", y, y)))
+        else:
+            dss = steady_to_discrete(_gaussian_ss(), S0=0.4)
+        ladder, n, n_tau = [4.0, 8.0], 8, 3
+        taus = 0.4 * (np.arange(n_tau) + 0.5) / n_tau
+        expected = {"sup_mass": [], "slab_gradsq": [], "slab_pressure": [],
+                    "slab_cubed": []}
+        for R in ladder:
+            pts, w = ball_grid(2 * R, n)
+            h = 0.25 * 2 * R / n
+            sq, grad, prs, cube = [], [], [], []
+            for tau in taus:
+                u2 = np.sum(dss.U(pts, tau) ** 2, axis=-1)
+                du = [(dss.U(pts + e, tau) - dss.U(pts - e, tau)) / (2 * h)
+                      for e in h * np.eye(3)]
+                p = dss.P(pts, tau) if periodic else np.zeros(len(pts))
+                sq.append(np.sum(u2) * w)
+                cube.append(np.sum(u2**1.5) * w)
+                grad.append(sum(np.sum(d**2) for d in du) * w)
+                prs.append(np.sum(np.abs(p) ** 1.5) * w)
+            expected["sup_mass"].append(max(sq))
+            for name, vals in (("slab_gradsq", grad), ("slab_pressure", prs),
+                               ("slab_cubed", cube)):
+                expected[name].append(0.4 / n_tau * sum(vals))
+        rows = dss_slab_bounds(dss, ladder, m=0.55, n_tau=n_tau,
+                               cfg=QuadratureConfig(n_space=n))
+        for row in rows:
+            assert row.masses == pytest.approx(expected[row.quantity], rel=1e-12,
+                                               abs=0.0), row.quantity
+        assert all(m > 0 for row in rows for m in row.masses) == periodic
 
     def test_radius_precondition(self):
         dss = steady_to_discrete(_gaussian_ss(), S0=2.0)

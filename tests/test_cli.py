@@ -169,6 +169,28 @@ class TestLiouvilleAndIterate:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("overrides, key", [
+        (("ladder.factor=inf",), "ladder.factor"),
+        (("ladder.start=1e300", "ladder.factor=1e10"), "ladder.factor"),
+        (("ladder.start=nan",), "ladder.start"),
+    ])
+    def test_bad_ladder_exits_invalid(self, tmp_path, capsys, overrides, key):
+        assert run(tmp_path, "quantities", *overrides) == EXIT_INVALID
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["nosuch"], ["suite", "--threads", "2"]])
+    def test_bad_arguments_exit_invalid(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == EXIT_INVALID
+        assert "usage: cylscale" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert "usage: cylscale" in capsys.readouterr().out
+
     def test_k_max_over_limit_refused_before_iterating(self, tmp_path, monkeypatch):
         from cylscale import asymptotics
         from cylscale.cli import K_MAX_LIMIT, ConfigError, RunConfig
