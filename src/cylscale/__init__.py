@@ -10,6 +10,7 @@ from .errors import (
     DegenerateInputError,
     DivergentIntegralError,
     DomainError,
+    FileFormatError,
     GeometryError,
     InequalityStructureError,
     InfeasibleDeltaError,

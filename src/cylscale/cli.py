@@ -117,8 +117,7 @@ class RunConfig:
         self.entries = merged
         if tolerance is not None:
             self.entries["run.tolerance"] = repr(tolerance)
-        tol = self.get("run.tolerance")
-        if not tol > 0:
+        if not self.tolerance > 0:
             raise ConfigError("run.tolerance must be positive")
 
     def get(self, key: str):
@@ -133,9 +132,22 @@ class RunConfig:
             raise ConfigError(f"{key} must be an integer in [1, {upper}], got {value!r}")
         return value
 
+    def real(self, key: str) -> float:
+        """A finite real entry: an integer, a fraction or a float."""
+        value = self.get(key)
+        number = math.nan
+        if isinstance(value, (int, Fraction, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer or fraction beyond float range
+                pass
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be a finite number, got {self.entries[key]!r}")
+        return number
+
     @property
     def tolerance(self) -> float:
-        return float(self.get("run.tolerance"))
+        return self.real("run.tolerance")
 
     def quadrature(self) -> QuadratureConfig:
         # QuadratureConfig checks every field; values pass through uncast
@@ -152,27 +164,27 @@ class RunConfig:
         kind = self.get("profile.kind")
         if kind == "power-law":
             return fl.PowerLawProfile(
-                c=float(self.get("profile.c")),
-                alpha_p=float(self.get("profile.alpha_p")),
-                gamma_p=float(self.get("profile.gamma_p")),
-                pressure_coeff=float(self.get("profile.pressure_coeff")),
+                c=self.real("profile.c"),
+                alpha_p=self.real("profile.alpha_p"),
+                gamma_p=self.real("profile.gamma_p"),
+                pressure_coeff=self.real("profile.pressure_coeff"),
             )
         if kind == "constant":
-            return fl.ConstantProfile((float(self.get("profile.c")), 0.0, 0.0))
+            return fl.ConstantProfile((self.real("profile.c"), 0.0, 0.0))
         if kind == "shear":
             return fl.SteadyShearProfile(
-                amplitude=float(self.get("profile.amplitude")),
-                wavenumber=float(self.get("profile.wavenumber")),
+                amplitude=self.real("profile.amplitude"),
+                wavenumber=self.real("profile.wavenumber"),
             )
         raise ConfigError(f"unknown profile.kind {kind!r}")
 
     def ladder(self):
-        start = float(self.get("ladder.start"))
-        factor = float(self.get("ladder.factor"))
+        start = self.real("ladder.start")
+        factor = self.real("ladder.factor")
         count = self.count("ladder.count")
         for key, value, low in (("ladder.start", start, 0), ("ladder.factor", factor, 1)):
-            if not low < value < math.inf:
-                raise ConfigError(f"{key} must be finite and exceed {low}, got {value!r}")
+            if not value > low:
+                raise ConfigError(f"{key} must exceed {low}, got {value!r}")
         try:
             radii = [start * factor**j for j in range(count)]
         except OverflowError:
@@ -299,11 +311,10 @@ def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     params = ex.derive(cfg.get("exponents.s"), cfg.get("exponents.l"),
                        cfg.get("exponents.m0"))
     kind = cfg.get("scale.kind")
-    alpha = cfg.get("scale.alpha")
+    alpha = None if cfg.get("scale.alpha") is None else cfg.real("scale.alpha")
     if kind == "euler" and alpha is None:
         alpha = float(params.alpha)
-    spec = sc.ScalingSpec(kind=kind, lam=float(cfg.get("scale.lam")),
-                          alpha=None if alpha is None else float(alpha))
+    spec = sc.ScalingSpec(kind=kind, lam=cfg.real("scale.lam"), alpha=alpha)
     rows = sc.invariance_report(cfg.profile(), spec, params, cfg.ladder(),
                                 cfg.quadrature(), tolerance=cfg.tolerance)
     csv_rows = [[r.relation, r.a, r.lhs, r.rhs, r.slack, r.tolerance, r.passed]
@@ -318,9 +329,8 @@ def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 
 
 def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    m = float(cfg.get("liouville.m"))
-    gamma = cfg.get("liouville.gamma")
-    gamma = None if gamma is None else float(gamma)
+    m = cfg.real("liouville.m")
+    gamma = None if cfg.get("liouville.gamma") is None else cfg.real("liouville.gamma")
     evidence = None
     if bool(cfg.get("liouville.compact_support")):
         # compact support makes every ladder-normalized mass decay
@@ -335,10 +345,10 @@ def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     k_max = cfg.count("iterate.k_max", K_MAX_LIMIT)
     params = asy.derive_iteration_params(
-        float(cfg.get("iterate.m")), float(cfg.get("iterate.gamma")),
-        C_force=float(cfg.get("iterate.C")),
+        cfg.real("iterate.m"), cfg.real("iterate.gamma"),
+        C_force=cfg.real("iterate.C"),
     )
-    trace = asy.iterate_bound(params, float(cfg.get("iterate.R")), k_max)
+    trace = asy.iterate_bound(params, cfg.real("iterate.R"), k_max)
     rows = [[k, p, a, b] for k, p, a, b in zip(
         trace.ks, trace.profile_terms, trace.forcing_terms, trace.bounds)]
     payload = {

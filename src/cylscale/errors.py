@@ -47,3 +47,7 @@ class SupportError(CylscaleError, ValueError):
 
 class GeometryError(CylscaleError, ValueError):
     """A scaled domain does not contain the requested cylinder."""
+
+
+class FileFormatError(CylscaleError, ValueError):
+    """A data file does not follow the format its reader expects."""

@@ -9,14 +9,15 @@ them with exact power-law weights.
 
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
+    FileFormatError,
     NonFiniteSampleError,
     RadiusError,
     ResolutionError,
@@ -463,23 +464,20 @@ def write_grid_csv(field: GridField, csv_path, sidecar_path=None) -> None:
     """Flat CSV (x1,x2,x3,t,u1,u2,u3,p per node) plus a JSON sidecar.
 
     Floats are written with repr, so read_grid_csv restores them exactly.
+    Lines end in ``\r\n``, as ``csv.writer`` writes them.
     """
-    axis = field.space_axis
-    cells = field.n_space**3
-    table = np.empty((cells, 8))
-    table[:, :3] = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                            axis=-1).reshape(cells, 3)
-    velocity = field.velocity.reshape(field.n_time, cells, 3)
-    pressure = field.pressure.reshape(field.n_time, cells)
+    # the coordinate prefix repeats in every time slice, t in every row of one
+    axis = [repr(x) for x in field.space_axis.tolist()]
+    prefix = [f"{x1},{x2},{x3}," for x1 in axis for x2 in axis for x3 in axis]
+    velocity = field.velocity.reshape(field.n_time, len(prefix), 3)
+    pressure = field.pressure.reshape(field.n_time, len(prefix))
     with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "x3", "t", "u1", "u2", "u3", "p"])
-        # one time slice at a time bounds the Python floats held at once
-        for j, t in enumerate(field.times):
-            table[:, 3] = t
-            table[:, 4:7] = velocity[j]
-            table[:, 7] = pressure[j]
-            w.writerows(table.tolist())
+        fh.write("x1,x2,x3,t,u1,u2,u3,p\r\n")
+        # a generator per slice keeps the lines held at once bounded
+        for j, t in enumerate(field.times.tolist()):
+            t = repr(t)
+            fh.writelines(f"{x}{t},{u1!r},{u2!r},{u3!r},{p!r}\r\n" for x, (u1, u2, u3), p
+                          in zip(prefix, velocity[j].tolist(), pressure[j].tolist()))
     if sidecar_path is not None:
         sidecar = {
             "cylinder": {
@@ -499,18 +497,27 @@ def write_grid_csv(field: GridField, csv_path, sidecar_path=None) -> None:
 
 
 def read_grid_csv(csv_path, sidecar_path) -> GridField:
-    """Inverse of write_grid_csv."""
+    """Inverse of write_grid_csv.
+
+    The samples u1, u2, u3 and p come from the CSV; the geometry comes from
+    the sidecar, so the x1, x2, x3 and t columns are not read.
+    """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
     n, nt = meta["n_space"], meta["n_time"]
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = list(reader)
-    if len(rows) != nt * n**3:
-        raise ValueError("row count does not match the sidecar resolutions")
-    data = np.fromiter((float(v) for row in rows for v in row[4:8]), dtype=float,
-                       count=4 * len(rows)).reshape(nt, n, n, n, 4)
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported by the row count below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: a cell such as "0.5#x" is an error, not 0.5
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=(4, 5, 6, 7),
+                              ndmin=2, comments=None)
+    except ValueError as exc:
+        raise FileFormatError(f"{csv_path}: {exc}") from exc
+    if len(data) != nt * n**3:
+        raise ResolutionError(f"{csv_path}: {len(data)} rows, but the sidecar's "
+                              f"resolutions n_space={n}, n_time={nt} need {nt * n**3}")
+    data = data.reshape(nt, n, n, n, 4)
     vel = np.ascontiguousarray(data[..., :3])
     prs = np.ascontiguousarray(data[..., 3])
     cyl = CylinderSpec(**meta["cylinder"])

@@ -179,6 +179,25 @@ class TestLiouvilleAndIterate:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, override", [
+        ("quantities", "ladder.start=abc"), ("quantities", "profile.c=abc"),
+        ("liouville", "liouville.m=xyz"), ("quantities", "profile.c=nan"),
+        ("iterate", "iterate.R=nan"),
+    ])
+    def test_bad_real_exits_invalid(self, tmp_path, capsys, command, override):
+        assert run(tmp_path, command, override) == EXIT_INVALID
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_real_takes_finite_numbers_only(self):
+        from cylscale.cli import ConfigError, RunConfig
+
+        for raw, want in (("2", 2.0), ("3/4", 0.75), ("-1e-3", -1e-3)):
+            assert RunConfig({"iterate.R": raw}).real("iterate.R") == want
+        for raw in ("true", "none", "-inf", "1" + "0" * 400, "1" + "0" * 400 + "/3"):
+            with pytest.raises(ConfigError, match="iterate.R"):
+                RunConfig({"iterate.R": raw}).real("iterate.R")
+
     @pytest.mark.parametrize("argv", [["nosuch"], ["suite", "--threads", "2"]])
     def test_bad_arguments_exit_invalid(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == EXIT_INVALID

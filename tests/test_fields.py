@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 from cylscale import (
     ConstantProfile,
     CylinderSpec,
+    CylscaleError,
     DiscreteSelfSimilarProfile,
+    FileFormatError,
+    GridField,
     PowerLawProfile,
+    ResolutionError,
     SampledProfile,
     SelfSimilarProfile,
     SingularPointError,
@@ -194,6 +199,30 @@ class TestGrid:
                                        + [repr(float(f.pressure[j, i1, i2, i3]))])
         assert (tmp_path / "field.csv").read_bytes() == ref.read_bytes()
 
+    def test_csv_format_edges(self, tmp_path, monkeypatch):
+        # subnormal, signed zero, exponent forms and long mantissas, with lam,
+        # mu != 1 and Nt != N
+        edges = [5e-324, -0.0, 1e16, 1e-05, 123456789.123, -5e-324, -1e16, -1e-05,
+                 -123456789.123, 0.1, -2.5]
+        values = np.resize(edges, (2, 3, 3, 3, 4))
+        f = GridField(CylinderSpec(0.5, lam=0.7, mu=1.3), 3, 2,
+                      np.ascontiguousarray(values[..., :3]),
+                      np.ascontiguousarray(values[..., 3]),
+                      radial_power=-0.25, time_power=-0.375)
+        # the per-row repr reference of the test above, run on this field
+        monkeypatch.setitem(globals(), "sample", lambda *args: f)
+        self.test_csv_matches_per_row_repr_writer(tmp_path)
+        write_grid_csv(f, tmp_path / "field.csv", tmp_path / "field.json")
+        g = read_grid_csv(tmp_path / "field.csv", tmp_path / "field.json")
+        assert np.array_equal(g.velocity, f.velocity)
+        assert np.array_equal(g.pressure, f.pressure)
+        # bit patterns too, which array_equal does not see for -0.0
+        assert g.velocity.tobytes() == f.velocity.tobytes()
+        assert g.pressure.tobytes() == f.pressure.tobytes()
+        for name in ("cylinder", "n_space", "n_time", "radial_power", "time_power",
+                     "div_residual"):
+            assert getattr(g, name) == getattr(f, name)
+
     def test_grid_field_immutable(self):
         f = sample(SteadyShearProfile(1.0, 2.0), CylinderSpec(1.0), 4, 2)
         with pytest.raises(ValueError):
@@ -213,3 +242,43 @@ class TestGrid:
     def test_bad_cylinder(self):
         with pytest.raises(ValueError):
             CylinderSpec(radius=-1.0)
+
+
+class TestGridCsvErrors:
+    @pytest.fixture
+    def files(self, tmp_path):
+        f = sample(SteadyShearProfile(0.7, 2.0), CylinderSpec(0.5), 2, 2)
+        csv_path, meta_path = tmp_path / "field.csv", tmp_path / "field.json"
+        write_grid_csv(f, csv_path, meta_path)
+        lines = csv_path.read_bytes().decode().split("\r\n")
+        return csv_path, meta_path, lines
+
+    def test_row_count_mismatch(self, files):
+        csv_path, meta_path, lines = files
+        csv_path.write_bytes("\r\n".join(lines[:-2] + [""]).encode())
+        with pytest.raises(ResolutionError, match="15 rows"):
+            read_grid_csv(csv_path, meta_path)
+
+    @pytest.mark.parametrize("cell", ["abc", "0.5#x"])
+    def test_non_numeric_cell_names_file(self, files, cell):
+        csv_path, meta_path, lines = files
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+        csv_path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(FileFormatError, match="field.csv") as exc:
+            read_grid_csv(csv_path, meta_path)
+        assert isinstance(exc.value, CylscaleError)
+
+    def test_short_row_names_file(self, files):
+        csv_path, meta_path, lines = files
+        lines[2] = ",".join(lines[2].split(",")[:5])
+        csv_path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(FileFormatError, match="field.csv"):
+            read_grid_csv(csv_path, meta_path)
+
+    def test_header_only_file(self, files):
+        csv_path, meta_path, lines = files
+        csv_path.write_bytes((lines[0] + "\r\n").encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="0 rows"):
+                read_grid_csv(csv_path, meta_path)
