@@ -132,22 +132,30 @@ class RunConfig:
             raise ConfigError(f"{key} must be an integer in [1, {upper}], got {value!r}")
         return value
 
-    def real(self, key: str) -> float:
-        """A finite real entry: an integer, a fraction or a float."""
+    def rational(self, key: str):
+        """A finite number entry as written: an integer or a fraction stays
+        exact, a float stays a float."""
         value = self.get(key)
-        number = math.nan
+        finite = False
         if isinstance(value, (int, Fraction, float)) and not isinstance(value, bool):
             try:
-                number = float(value)
+                finite = math.isfinite(value)
             except OverflowError:  # an integer or fraction beyond float range
                 pass
-        if not math.isfinite(number):
+        if not finite:
             raise ConfigError(f"{key} must be a finite number, got {self.entries[key]!r}")
-        return number
+        return value
+
+    def real(self, key: str) -> float:
+        """A finite number entry as a float."""
+        return float(self.rational(key))
 
     @property
     def tolerance(self) -> float:
         return self.real("run.tolerance")
+
+    def exponents(self) -> ex.ExponentParams:
+        return ex.derive(*(self.rational(f"exponents.{k}") for k in ("s", "l", "m0")))
 
     def quadrature(self) -> QuadratureConfig:
         # QuadratureConfig checks every field; values pass through uncast
@@ -207,9 +215,16 @@ def _num(v):
     """JSON-safe rendering preserving exactness where it exists."""
     if isinstance(v, Fraction):
         return str(v)
+    if isinstance(v, tuple):
+        return [_num(x) for x in v]
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
     return float(v)
+
+
+def _cell(v):
+    """A CSV cell: numbers as floats; bools, text and None as they are."""
+    return v if v is None or isinstance(v, (bool, str)) else float(v)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -226,7 +241,9 @@ def write_csv(path: Path, header, rows) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _emit(outdir: Path, stem: str, fmt: str, header, rows, payload: dict) -> None:
+def _emit(cfg: RunConfig, outdir: Path, stem: str, fmt: str, header, rows,
+          payload: dict) -> None:
+    payload["provenance"] = cfg.provenance()
     if fmt in ("csv", "both"):
         write_csv(outdir / f"{stem}.csv", header, rows)
     if fmt in ("json", "both"):
@@ -238,78 +255,51 @@ def _emit(outdir: Path, stem: str, fmt: str, header, rows, payload: dict) -> Non
 
 
 def cmd_exponents(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    s, l, m0 = cfg.get("exponents.s"), cfg.get("exponents.l"), cfg.get("exponents.m0")
-    p = ex.derive(s, l, m0)
-    record = {
-        "s": _num(p.s), "l": _num(p.l), "m0": _num(p.m0),
-        "kappa": _num(p.kappa), "q_interp": _num(p.q_interp),
-        "alpha": _num(p.alpha), "m": _num(p.m), "m1": _num(p.m1),
-        "gamma_profile": _num(p.gamma_profile),
-        "strong_admissible": p.strong_admissible,
-        "weak_admissible": p.weak_admissible,
-        "positive_window": p.positive_window,
-        "scenario_ordered": p.scenario_ordered,
-        "m0_lower_bound": _num(p.m0_lower_bound),
-        "provenance": cfg.provenance(),
-    }
+    p = cfg.exponents()
     header = ("s", "l", "m0", "kappa", "q_interp", "alpha", "m", "m1",
               "gamma_profile", "strong_admissible", "m0_lower_bound")
-    row = [float(p.s), float(p.l), float(p.m0), float(p.kappa),
-           float(p.q_interp), float(p.alpha), float(p.m), float(p.m1),
-           float(p.gamma_profile), p.strong_admissible,
-           None if p.m0_lower_bound is None else float(p.m0_lower_bound)]
-    _emit(outdir, "exponents", fmt, header, [row], record)
+    record = {k: getattr(p, k) for k in header + (
+        "weak_admissible", "positive_window", "scenario_ordered")}
+    _emit(cfg, outdir, "exponents", fmt, header, [[_cell(record[c]) for c in header]],
+          {k: _num(v) for k, v in record.items()})
     return EXIT_OK
 
 
 def cmd_construct(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    m0 = cfg.get("construct.m0")
-    alpha = cfg.get("construct.alpha")
-    delta = cfg.entries.get("construct.delta")
-    delta = _coerce(delta) if delta is not None else None
-    con = ex.construct_profile_exponents(m0, alpha, delta)
+    delta = None
+    if _coerce(cfg.entries.get("construct.delta", "none")) is not None:
+        delta = cfg.rational("construct.delta")
+    con = ex.construct_profile_exponents(
+        cfg.rational("construct.m0"), cfg.rational("construct.alpha"), delta)
     record = {
-        "m0": _num(con.m0), "alpha": _num(con.alpha_profile),
-        "delta": _num(con.delta),
-        "delta_interval": None if con.delta_interval is None
-        else [_num(con.delta_interval[0]), _num(con.delta_interval[1])],
-        "s": _num(con.s), "l": _num(con.l), "gamma": _num(con.gamma),
-        "kappa": _num(con.kappa),
-        "certificate": _num(con.exponent_certificate),
-        "integrable": con.integrable,
-        "strong_admissible": con.strong_admissible,
-        "branch": con.branch,
+        "m0": con.m0, "alpha": con.alpha_profile, "delta": con.delta,
+        "delta_interval": con.delta_interval, "s": con.s, "l": con.l,
+        "gamma": con.gamma, "kappa": con.kappa,
+        "certificate": con.exponent_certificate, "integrable": con.integrable,
+        "strong_admissible": con.strong_admissible, "branch": con.branch,
         "edge_check": con.edge_check,
-        "provenance": cfg.provenance(),
     }
     header = ("m0", "alpha", "delta", "s", "l", "gamma", "certificate", "branch")
-    row = [float(con.m0), float(con.alpha_profile),
-           None if con.delta is None else float(con.delta),
-           float(con.s), float(con.l), float(con.gamma),
-           float(con.exponent_certificate), con.branch]
-    _emit(outdir, "construct", fmt, header, [row], record)
+    _emit(cfg, outdir, "construct", fmt, header, [[_cell(record[c]) for c in header]],
+          {k: _num(v) for k, v in record.items()})
     return EXIT_OK
 
 
 def cmd_quantities(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    params = ex.derive(cfg.get("exponents.s"), cfg.get("exponents.l"),
-                       cfg.get("exponents.m0"))
-    profile = cfg.profile()
-    report = qt.quantity_report(profile, cfg.ladder(), params, cfg.quadrature())
+    report = qt.quantity_report(cfg.profile(), cfg.ladder(), cfg.exponents(),
+                                cfg.quadrature())
     rows = list(report.to_csv_rows())
     payload = {
         "rows": [dict(zip(qt.QuantityReport.CSV_COLUMNS, [_num(v) for v in r]))
                  for r in rows],
         "type1_sup": report.type1_sup,
-        "provenance": cfg.provenance(),
     }
-    _emit(outdir, "quantities", fmt, qt.QuantityReport.CSV_COLUMNS, rows, payload)
+    _emit(cfg, outdir, "quantities", fmt, qt.QuantityReport.CSV_COLUMNS, rows, payload)
     return EXIT_OK
 
 
 def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    params = ex.derive(cfg.get("exponents.s"), cfg.get("exponents.l"),
-                       cfg.get("exponents.m0"))
+    params = cfg.exponents()
     kind = cfg.get("scale.kind")
     alpha = None if cfg.get("scale.alpha") is None else cfg.real("scale.alpha")
     if kind == "euler" and alpha is None:
@@ -322,9 +312,8 @@ def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     payload = {
         "rows": [dict(zip(sc.INVARIANCE_COLUMNS, row)) for row in csv_rows],
         "all_pass": all(r.passed for r in rows),
-        "provenance": cfg.provenance(),
     }
-    _emit(outdir, "scale_check", fmt, sc.INVARIANCE_COLUMNS, csv_rows, payload)
+    _emit(cfg, outdir, "scale_check", fmt, sc.INVARIANCE_COLUMNS, csv_rows, payload)
     return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC
 
 
@@ -336,9 +325,8 @@ def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         # compact support makes every ladder-normalized mass decay
         evidence = True
     verdict = asy.liouville_verdict(m, gamma, evidence)
-    payload = verdict.to_json_dict()
-    payload["provenance"] = cfg.provenance()
-    _emit(outdir, "liouville", fmt, ("verdict",), [[verdict.verdict]], payload)
+    _emit(cfg, outdir, "liouville", fmt, ("verdict",), [[verdict.verdict]],
+          verdict.to_json_dict())
     return EXIT_OK
 
 
@@ -357,9 +345,8 @@ def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         "case_tag": trace.case_tag, "verdict": trace.verdict,
         "final_bound": trace.bounds[-1],
         "final_forcing": trace.forcing_terms[-1],
-        "provenance": cfg.provenance(),
     }
-    _emit(outdir, "iterate", fmt, asy.IterationTrace.CSV_COLUMNS, rows, payload)
+    _emit(cfg, outdir, "iterate", fmt, asy.IterationTrace.CSV_COLUMNS, rows, payload)
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
 """Exponent algebra for scaled energy quantities on parabolic cylinders.
 
 Everything here is pure arithmetic on the Lebesgue pair (s, l) and the growth
-attenuation exponent m0.  When the inputs are `fractions.Fraction` (or any
-`numbers.Rational`), every derived exponent and identity certificate is exact;
-with floats the identities hold to `IDENTITY_TOL`.
+attenuation exponent m0.  When every input is rational (an int, a numpy
+integer or a `fractions.Fraction`), every derived exponent and identity
+certificate is exact; with any float among them the identities hold to
+`IDENTITY_TOL`.
 """
 
 from __future__ import annotations
@@ -21,12 +22,16 @@ Number = Union[int, float, Fraction]
 IDENTITY_TOL = 1e-12
 
 
-def _is_exact(*values: Number) -> bool:
-    return all(isinstance(v, Rational) for v in values)
-
-
-def _half(exact: bool) -> Number:
-    return Fraction(1, 2) if exact else 0.5
+def _exact(*values):
+    """The one exact-mode rule: ``values`` as Fractions when all are rational
+    (None skipped), else unchanged.  Constants are written as Fractions; with a
+    float they give the same float as the binary64 constant would."""
+    if all(v is None or isinstance(v, Fraction) or isinstance(v, Rational)
+           for v in values):
+        return tuple(v if v is None or isinstance(v, Fraction)
+                     else Fraction(int(v.numerator), int(v.denominator))
+                     for v in values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,13 @@ class SLPair:
     def __post_init__(self):
         if self.s < 1 or self.l < 1:
             raise DomainError(f"require s >= 1 and l >= 1, got s={self.s}, l={self.l}")
+
+
+def _pair(s: Number, l: Number, *rest):
+    """``_exact(s, l, *rest)`` once s >= 1 and l >= 1 is checked."""
+    if s < 1 or l < 1:
+        raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
+    return _exact(s, l, *rest)
 
 
 @dataclass(frozen=True)
@@ -86,25 +98,16 @@ def kappa(s: Number, l: Number) -> Number:
 
 def q_interp(s: Number, l: Number) -> Number:
     """The interpolation exponent q = 2l (3/s + 2/l - 1 - 1/2)."""
-    return 2 * l * (3 / s + 2 / l - 1 - _half(_is_exact(s, l)))
+    return 2 * l * (3 / s + 2 / l - 1 - Fraction(1, 2))
 
 
 def strong_admissibility(s: Number, l: Number) -> bool:
     """Strict window 1 > 3/s + 2/l - 1 > 1/2 + max(1/(2l), 1/2 - 1/l)."""
-    if s < 1 or l < 1:
-        raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
-    exact = _is_exact(s, l)
-    half = _half(exact)
-    mid = 3 / _n(s, exact) + 2 / _n(l, exact) - 1
-    lower = half + max(1 / (2 * _n(l, exact)), half - 1 / _n(l, exact))
+    s, l = _pair(s, l)
+    half = Fraction(1, 2)
+    mid = 3 / s + 2 / l - 1
+    lower = half + max(1 / (2 * l), half - 1 / l)
     return lower < mid < 1
-
-
-def _n(v: Number, exact: bool) -> Number:
-    """Promote ints to Fraction in exact mode so divisions stay exact."""
-    if exact and isinstance(v, int):
-        return Fraction(v)
-    return v
 
 
 def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
@@ -117,14 +120,9 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
     DegenerateInputError
         if the denominator of the zoom exponent alpha vanishes.
     """
-    if s < 1 or l < 1:
-        raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
+    s, l, m0 = _pair(s, l, m0)
     if not 0 < m0 <= 1:
         raise DomainError(f"require 0 < m0 <= 1, got m0={m0}")
-    exact = _is_exact(s, l, m0)
-    s = _n(s, exact)
-    l = _n(l, exact)
-    m0 = _n(m0, exact)
 
     mid = 3 / s + 2 / l - 1  # the quantity the admissibility window bounds
     k = kappa(s, l)
@@ -174,10 +172,9 @@ def pq_of_lambda(lambda_p: Number):
     """
     if not 0 <= lambda_p <= 1:
         raise DomainError(f"require 0 <= lambda <= 1, got {lambda_p}")
-    exact = _is_exact(lambda_p)
-    lam = _n(lambda_p, exact)
-    inv_p = lam / 6 + 3 * (1 - lam) / (Fraction(10) if exact else 10.0)
-    inv_q = lam / 2 + 3 * (1 - lam) / (Fraction(10) if exact else 10.0)
+    (lam,) = _exact(lambda_p)
+    inv_p = lam / 6 + 3 * (1 - lam) / 10
+    inv_q = lam / 2 + 3 * (1 - lam) / 10
     return 1 / inv_p, 1 / inv_q
 
 
@@ -213,9 +210,7 @@ class ProfileConstruction:
 
 def delta_interval(m0: Number, alpha_profile: Number):
     """Admissible open interval for delta in the interior construction."""
-    exact = _is_exact(m0, alpha_profile)
-    m0 = _n(m0, exact)
-    a = _n(alpha_profile, exact)
+    m0, a = _exact(m0, alpha_profile)
     lo = max(6 / (3 + a), 4 / (3 - a)) / (2 - m0)
     hi = 2 / (2 - m0)
     return lo, hi
@@ -239,29 +234,21 @@ def construct_profile_exponents(
     """
     if not 0 < m0 < 1:
         raise DomainError(f"require 0 < m0 < 1, got m0={m0}")
-    exact = _is_exact(m0, alpha_profile, delta1, delta2) and (
-        delta is None or _is_exact(delta)
-    )
-    m0 = _n(m0, exact)
-    a = _n(alpha_profile, exact)
+    m0, a, delta, d1, d2 = _exact(m0, alpha_profile, delta, delta1, delta2)
 
-    if alpha_profile == 0:
+    if a == 0:
         if not Fraction(19, 20) < m0 < 1:
             raise DomainError(f"alpha=0 branch needs 19/20 < m0 < 1, got m0={m0}")
-        d1 = _n(delta1, exact)
-        d2 = _n(delta2, exact)
         s = 10 / (3 * (1 + d1))
         l = 20 / (11 * (1 - d2))
         return _finish_construction(m0, a, None, None, s, l, branch="alpha0")
-    if alpha_profile == 1:
+    if a == 1:
         if not Fraction(4, 5) < m0 < 1:
             raise DomainError(f"alpha=1 branch needs 4/5 < m0 < 1, got m0={m0}")
-        d1 = _n(delta1, exact)
-        d2 = _n(delta2, exact)
         s = 15 / (7 * (1 - d1))
         l = 10 / (3 * (1 + d2))
         return _finish_construction(m0, a, None, None, s, l, branch="alpha1")
-    if not 0 < alpha_profile < 1:
+    if not 0 < a < 1:
         raise DomainError(
             f"interior branch needs 0 < alpha_profile < 1, got {alpha_profile}"
         )
@@ -273,12 +260,8 @@ def construct_profile_exponents(
         )
     if delta is None:
         delta = (lo + hi) / 2
-    else:
-        delta = _n(delta, exact)
-        if not lo < delta < hi:
-            raise DomainError(
-                f"delta={delta} outside admissible interval ({lo}, {hi})"
-            )
+    elif not lo < delta < hi:
+        raise DomainError(f"delta={delta} outside admissible interval ({lo}, {hi})")
     inv_l = delta * (2 - m0) * (1 - a) / 2
     inv_s = delta * (2 - m0) * a / 3
     return _finish_construction(m0, a, delta, (lo, hi), 1 / inv_s, 1 / inv_l,
@@ -340,12 +323,7 @@ def interpolation_splits(s: Number, l: Number) -> list:
     Emits one entry per case tag; the ones whose preconditions fail are
     markers, not errors.
     """
-    if s < 1 or l < 1:
-        raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
-    exact = _is_exact(s, l)
-    s = _n(s, exact)
-    l = _n(l, exact)
-    half = _half(exact)
+    s, l = _pair(s, l)
     splits = []
 
     # three-factor Hoelder/Gagliardo-Nirenberg split, valid on the strong window
@@ -406,7 +384,7 @@ def interpolation_splits(s: Number, l: Number) -> list:
     )
 
     # l > 3 with 3/2 < s < 3: split between |v|^s and |v|^6
-    if l > 3 and 3 * half < s < 3:
+    if l > 3 and Fraction(3, 2) < s < 3:
         lam = 3 / (6 - s)
         gam = (3 - s) / (6 - s)
         q_here = l / (lam * s)
@@ -451,12 +429,7 @@ class WeightedKappa:
 
 def weighted_kappa(s: Number, l: Number, n: Number) -> WeightedKappa:
     """Interpolated weight between the mixed-norm exponents kappa and q."""
-    if s < 1 or l < 1:
-        raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
-    exact = _is_exact(s, l, n)
-    s = _n(s, exact)
-    l = _n(l, exact)
-    n = _n(n, exact)
+    s, l, n = _pair(s, l, n)
     k = kappa(s, l)
     q = q_interp(s, l)
     kappa_n = n * k + q * (1 - n)

@@ -10,6 +10,8 @@ them with exact power-law weights.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -34,8 +36,9 @@ class CylinderSpec:
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0 or self.lam <= 0 or self.mu <= 0:
-            raise ValueError("cylinder radius and anisotropy factors must be positive")
+        if not all(0 < v < math.inf for v in (self.radius, self.lam, self.mu)):
+            raise ValueError("cylinder radius and anisotropy factors must be positive "
+                             f"and finite, got {self}")
 
     @property
     def space_radius(self) -> float:
@@ -72,6 +75,8 @@ class Profile:
     separable: bool = False
     #: field does not depend on t (so time_power is 0)
     steady: bool = False
+    #: a separable profile's pressure is pressure_coeff * speed**2
+    pressure_coeff: float = 0.0
 
     def velocity(self, x: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -180,10 +185,6 @@ class ConstantProfile(Profile):
     def pressure(self, x, t):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
-
-    def speed(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], self.coef)
 
     def grad_norm_sq(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -502,9 +503,15 @@ def read_grid_csv(csv_path, sidecar_path) -> GridField:
     The samples u1, u2, u3 and p come from the CSV; the geometry comes from
     the sidecar, so the x1, x2, x3 and t columns are not read.
     """
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    n, nt = meta["n_space"], meta["n_time"]
+    try:
+        with open(sidecar_path) as fh:
+            meta = json.load(fh)
+        n, nt = (operator.index(meta[k]) for k in ("n_space", "n_time"))
+        cyl = CylinderSpec(**meta["cylinder"])
+    except KeyError as exc:
+        raise FileFormatError(f"{sidecar_path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # malformed JSON is a ValueError
+        raise FileFormatError(f"{sidecar_path}: {exc}") from exc
     try:
         with warnings.catch_warnings():
             # a header-only file is reported by the row count below
@@ -520,7 +527,6 @@ def read_grid_csv(csv_path, sidecar_path) -> GridField:
     data = data.reshape(nt, n, n, n, 4)
     vel = np.ascontiguousarray(data[..., :3])
     prs = np.ascontiguousarray(data[..., 3])
-    cyl = CylinderSpec(**meta["cylinder"])
     return GridField(
         cylinder=cyl,
         n_space=n,

@@ -24,6 +24,19 @@ from .errors import DivergentIntegralError, DomainError
 FOUR_PI = 4.0 * np.pi
 _GL2 = 1.0 / np.sqrt(3.0)  # two-point Gauss nodes at +- 1/sqrt(3)
 
+#: ceilings on the counts, checked before anything is allocated.  n_space:
+#: peak RSS of a local-energy residual, the largest n_space**3 user, was 85 MB
+#: at 64 and 433 MB at 128 (about 35 MB plus 200 bytes a cell), so 1.4 GB at 192
+N_SPACE_MAX = 192
+#: max(n_time, n_space) Gauss-Legendre nodes solve an eigenproblem of that
+#: order: 92 MB peak at 2048, so about 0.3 GB at 4096
+N_TIME_MAX = 4096
+#: a graded rule holds 2 * levels * n/16 nodes, 512k at both ceilings below;
+#: 2**-1000 stays clear of the binary64 underflow at 2**-1074, below which
+#: graded cells have zero width
+N_RADIAL_MAX = 4096
+GRADED_LEVELS_MAX = 1000
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -36,8 +49,8 @@ class QuadratureConfig:
     ``n_time`` set the refinement of the 1-d graded rules (n/16 cells per
     dyadic level); ``graded_levels`` the number of dyadic levels toward the
     singularity, which controls how much of the singular core is resolved.
-    Construction checks that the four counts are integers >= 1 and that both
-    rules are "exact" or "graded".
+    Construction checks that the four counts are integers from 1 up to their
+    ceilings and that both rules are "exact" or "graded".
     """
 
     n_space: int = 32
@@ -48,11 +61,14 @@ class QuadratureConfig:
     time_rule: str = "exact"
 
     def __post_init__(self):
-        for name in ("n_space", "n_time", "n_radial", "graded_levels"):
+        for name, ceiling in (("n_space", N_SPACE_MAX), ("n_time", N_TIME_MAX),
+                              ("n_radial", N_RADIAL_MAX),
+                              ("graded_levels", GRADED_LEVELS_MAX)):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+                    or not 1 <= value <= ceiling):
+                raise DomainError(f"{name} must be an integer in [1, {ceiling}], "
+                                  f"got {value!r}")
         for name in ("radial_rule", "time_rule"):
             value = getattr(self, name)
             if value not in ("exact", "graded"):

@@ -52,10 +52,8 @@ def _separable_powers(profile: Profile, kind: str):
     if kind == "speed":
         return profile.coef, profile.radial_power, profile.time_power
     if kind == "pressure":
-        pc = getattr(profile, "pressure_coeff", None)
-        if pc is not None:
-            return pc * profile.coef**2, 2 * profile.radial_power, 2 * profile.time_power
-        return 0.0, 0.0, 0.0  # constant-kind profiles carry zero pressure
+        return (profile.pressure_coeff * profile.coef**2, 2 * profile.radial_power,
+                2 * profile.time_power)
     return None
 
 

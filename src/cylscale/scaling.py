@@ -28,6 +28,7 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, centered_times
 from .quantities import (
     cylinder_gradsq_integral,
     cylinder_power_integral,
+    energy_quantities,
     m_quantity,
     sup_weighted_mass,
 )
@@ -174,7 +175,8 @@ def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
     """Machine check of the scaling laws over a radius ladder.
 
     Viscous kind: equality rows for A, E, C, D and M between the rescaled
-    field at radius a and the original at lam*a.  Inviscid kind: one-sided
+    field at radius a and the original at lam*a, read from the two report
+    rows (``energy_quantities``) at those radii.  Inviscid kind: one-sided
     rows (slack = rhs - lhs >= 0) for the Morrey-weighted A, D, E transfer
     plus the mixed-norm zoom lower bound.
     """
@@ -187,19 +189,11 @@ def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
 
     if spec.kind == "navier-stokes":
         for a in radii:
-            pairs = [
-                ("A", sup_weighted_mass(scaled, a, 1.0, cfg),
-                 sup_weighted_mass(profile, la * a, 1.0, cfg)),
-                ("E", cylinder_gradsq_integral(scaled, a, 1.0, cfg),
-                 cylinder_gradsq_integral(profile, la * a, 1.0, cfg)),
-                ("C", cylinder_power_integral(scaled, "speed", 3.0, a, 2.0, cfg),
-                 cylinder_power_integral(profile, "speed", 3.0, la * a, 2.0, cfg)),
-                ("D", cylinder_power_integral(scaled, "pressure", 1.5, a, 2.0, cfg),
-                 cylinder_power_integral(profile, "pressure", 1.5, la * a, 2.0, cfg)),
-                ("M", m_quantity(scaled, a, s, l, m0, cfg)[0],
-                 m_quantity(profile, la * a, s, l, m0, cfg)[0]),
-            ]
-            for name, lhs, rhs in pairs:
+            lhs_row = energy_quantities(scaled, a, params, cfg)
+            rhs_row = energy_quantities(profile, la * a, params, cfg)
+            for name, col in (("A", "A"), ("E", "E"), ("C", "C"), ("D", "D"),
+                              ("M", "M_kappa")):
+                lhs, rhs = getattr(lhs_row, col), getattr(rhs_row, col)
                 slack = _rel_slack(lhs, rhs)
                 rows.append(InvarianceRow(
                     relation=f"{name}(v^lam,a)={name}(v,lam*a)", a=a, lhs=lhs,

@@ -1,6 +1,7 @@
 """End-to-end tests of the batch front-end."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -251,3 +252,89 @@ class TestSuite:
         assert run(tmp_path, "defaults") == EXIT_OK
         out = capsys.readouterr().out
         assert "exponents.s = 14/5" in out
+
+
+#: sha256 of artifacts off the default path, recorded before the command
+#: records were rebuilt; the default suite is pinned by criterion 11
+ARTIFACT_SHA256 = {
+    ("construct", "construct.alpha=0", "construct.m0=24/25"): {
+        "construct.csv": "b34285d550cda78f659404511f4a249c2ab65408591c7535ea09e02808ed2ea3",
+        "construct.json": "647b58ec28aeb5f6f6e29c38f137b028b6c8c0f3891bd93c1c4a50470ba477c4",
+    },
+    ("construct", "construct.alpha=1", "construct.m0=9/10"): {
+        "construct.csv": "6548d34bf691f8642770dcf61ff92854f6800b156df63abbaffb69194987b7e6",
+        "construct.json": "663570821afa6de7eb4c0a11b8a6a53f993fb683044ce2a3b82f98fbdf211b6b",
+    },
+    ("construct", "construct.m0=0.9", "construct.alpha=0.5"): {
+        "construct.csv": "1dfe490909e1ce67f437ca98813ac62fde25dfb8dada26dfbb30b14cc59140a7",
+        "construct.json": "1a69658e99a22a1b07c634b3152edd59384362232e31baf3f53f3b06e91ab9db",
+    },
+    ("construct", "construct.delta=17/10"): {
+        "construct.csv": "82ac90563f5bd3a461eb9cb9c25f42ee476c53af485ed1ce11291bc088fbffda",
+        "construct.json": "b143c93df8d077176d79824ef64ae42f2abba23d92c93854ac35d0760f015b79",
+    },
+    ("exponents", "exponents.s=10", "exponents.l=10"): {
+        "exponents.csv": "a9946fd949bcad81c5d8f010f306a9afaa4fd199759a35399f2155aed793d429",
+        "exponents.json": "c9154f141e9d2de1c7b0f7544ed473c3f9f28bce5f5ce76ecc484c7cfe6553be",
+    },
+    ("exponents", "exponents.s=2.8", "exponents.l=2.8", "exponents.m0=0.9"): {
+        "exponents.csv": "906f35fcaf8867fca6cecee97c444074752a6412324bd13d7b5fd6e55ce7b5f6",
+        "exponents.json": "a825d6494610b67b8425d136d79705ea65d3fad3623122ea53e2d6e21ac9edee",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_SHA256), ids=" ".join)
+def test_edge_artifacts_pinned(tmp_path, argv):
+    assert run(tmp_path, *argv) == EXIT_OK
+    pinned = ARTIFACT_SHA256[argv]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(pinned)
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("command, override", [
+    ("exponents", "exponents.s=abc"), ("exponents", "exponents.s=nan"),
+    ("exponents", "exponents.m0=none"), ("construct", "construct.delta=abc"),
+    ("quantities", "exponents.l=inf"), ("construct", "construct.m0=true"),
+])
+def test_bad_exponent_key_exits_invalid(tmp_path, capsys, command, override):
+    assert run(tmp_path, command, override) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "finite number" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_rational_keeps_exact_values():
+    from fractions import Fraction
+
+    from cylscale.cli import ConfigError, RunConfig
+
+    for raw, want in (("3", 3), ("7/10", Fraction(7, 10)), ("0.7", 0.7)):
+        got = RunConfig({"construct.m0": raw}).rational("construct.m0")
+        assert got == want and type(got) is type(want)
+    for raw in ("abc", "none", "true", "nan", "-inf", "1" + "0" * 400):
+        with pytest.raises(ConfigError, match="construct.m0"):
+            RunConfig({"construct.m0": raw}).rational("construct.m0")
+
+
+@pytest.mark.parametrize("delta", ["none", "None"])
+def test_construct_delta_none_is_absent(tmp_path, delta):
+    assert run(tmp_path, "construct", f"construct.delta={delta}") == EXIT_OK
+    assert read_json(tmp_path, "construct")["delta"] == "130/77"
+
+
+def test_quadrature_ceilings_refused_before_allocating(tmp_path, capsys):
+    from cylscale import DomainError, QuadratureConfig
+    from cylscale.quadrature import (GRADED_LEVELS_MAX, N_RADIAL_MAX, N_SPACE_MAX,
+                                     N_TIME_MAX)
+
+    ceilings = {"n_space": N_SPACE_MAX, "n_time": N_TIME_MAX,
+                "n_radial": N_RADIAL_MAX, "graded_levels": GRADED_LEVELS_MAX}
+    for name, ceiling in ceilings.items():
+        assert getattr(QuadratureConfig(**{name: ceiling}), name) == ceiling
+        with pytest.raises(DomainError, match=name):
+            QuadratureConfig(**{name: ceiling + 1})
+    assert run(tmp_path, "quantities", "quadrature.n_space=100000") == EXIT_INVALID
+    assert "n_space" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +91,12 @@ class TestDerive:
         assert p.alpha == 1
         assert p.m == 1
         assert p.m1 == 1
+
+    def test_numpy_integers_stay_exact(self):
+        p = derive(np.int64(3), np.int64(4), Fraction(9, 10))
+        assert p == derive(3, 4, Fraction(9, 10))
+        assert isinstance(p.kappa, Fraction) and p.kappa == 2
+        assert isinstance(p.alpha, Fraction) and isinstance(p.s, Fraction)
 
 
 class TestStrongAdmissibility:
@@ -247,3 +254,8 @@ class TestWeightedKappa:
         assert wk0.kappa_n == wk0.q_interp
         wk1 = weighted_kappa(Fraction(28, 10), Fraction(28, 10), Fraction(1))
         assert wk1.kappa_n == wk1.kappa
+
+    def test_numpy_integers_stay_exact(self):
+        wk = weighted_kappa(np.int64(3), np.int32(4), np.int64(1))
+        assert wk == weighted_kappa(3, 4, 1)
+        assert isinstance(wk.kappa_n, Fraction) and wk.kappa_n == wk.kappa == 2

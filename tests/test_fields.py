@@ -275,6 +275,22 @@ class TestGridCsvErrors:
         with pytest.raises(FileFormatError, match="field.csv"):
             read_grid_csv(csv_path, meta_path)
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"n_space": 2', "Expecting"),
+        ('{"n_time": 2, "cylinder": {"radius": 0.5}}', "missing key 'n_space'"),
+        ('{"n_space": 2, "n_time": 2, "cylinder": {"radius": -0.5}}', "positive"),
+        ('{"n_space": 2, "n_time": 2, "cylinder": {"radius": NaN}}', "finite"),
+        ('{"n_space": 2, "n_time": 2, "cylinder": {"rad": 0.5}}', "'rad'"),
+        ('{"n_space": 2.0, "n_time": 2, "cylinder": {"radius": 0.5}}', "float"),
+    ], ids=["bad-json", "missing-key", "bad-radius", "nan-radius", "cylinder-key",
+            "float-count"])
+    def test_bad_sidecar_names_sidecar(self, files, text, match):
+        csv_path, meta_path, _ = files
+        meta_path.write_text(text)
+        with pytest.raises(FileFormatError, match=match) as exc:
+            read_grid_csv(csv_path, meta_path)
+        assert "field.json" in str(exc.value)
+
     def test_header_only_file(self, files):
         csv_path, meta_path, lines = files
         csv_path.write_bytes((lines[0] + "\r\n").encode())
