@@ -345,9 +345,12 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
     masses = []  # per R: the sup over tau, then the three slab integrals
     for R in ladder:
         h = 0.25 * 2.0 * R / cfg.n_space  # an eighth of a B(2R) cell
-        views = [_FixedTau(profile, tau, h) for tau in taus]
-        sq, *slabs = zip(*([_ball_integral(view, key, 2.0 * R, -1.0, cfg)
-                            for key in _SLAB_MOMENTS.values()] for view in views))
+        per_tau = []
+        for tau in taus:
+            view, cells = _FixedTau(profile, tau, h), {}  # |U|^2, |U|^3 share one U
+            per_tau.append([_ball_integral(view, key, 2.0 * R, -1.0, cfg, cells)
+                         for key in _SLAB_MOMENTS.values()])
+        sq, *slabs = zip(*per_tau)
         masses.append([max(sq)] + [sum(dtau * v for v in slab) for slab in slabs])
 
     rows = []

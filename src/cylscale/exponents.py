@@ -235,6 +235,9 @@ def construct_profile_exponents(
     if not 0 < m0 < 1:
         raise DomainError(f"require 0 < m0 < 1, got m0={m0}")
     m0, a, delta, d1, d2 = _exact(m0, alpha_profile, delta, delta1, delta2)
+    if delta is not None and a in (0, 1):
+        raise DomainError(f"delta={delta} applies only to 0 < alpha_profile < 1; the "
+                          f"alpha={a} branch uses its closed form with delta1, delta2")
 
     if a == 0:
         if not Fraction(19, 20) < m0 < 1:

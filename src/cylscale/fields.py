@@ -87,6 +87,15 @@ class Profile:
     def speed(self, x: np.ndarray, t: float) -> np.ndarray:
         return np.linalg.norm(self.velocity(x, t), axis=-1)
 
+    def slices(self, x: np.ndarray, times) -> tuple:
+        """(velocity, pressure) at each of ``times``, on a leading time axis."""
+        vel = np.empty((len(times),) + np.shape(x))
+        prs = np.empty(vel.shape[:-1])
+        for j, t in enumerate(times):
+            vel[j] = self.velocity(x, t)
+            prs[j] = self.pressure(x, t)
+        return vel, prs
+
     def grad_norm_sq(self, x: np.ndarray, t: float) -> Optional[np.ndarray]:
         """|grad v|^2 where a closed form exists, else None."""
         return None
@@ -142,6 +151,20 @@ class PowerLawProfile(Profile):
         if self.radial_power < 0 and np.any(rho == 0):
             raise SingularPointError("power-law profile singular at x = 0")
         return self.c * rho**self.radial_power * (-t) ** self.time_power
+
+    def slices(self, x, times):
+        # speed at t = -1 is c * rho**radial_power bit for bit (1.0**p is 1), so one
+        # spatial pass serves every slice; each repeats velocity's and pressure's steps
+        _check_time(times)
+        x = np.asarray(x, dtype=float)
+        radial, unit = self.speed(x, -1.0), azimuthal_unit(x)
+        vel = np.empty((len(times),) + x.shape)
+        prs = np.empty(vel.shape[:-1])
+        for j, t in enumerate(times):
+            speed = radial * (-t) ** self.time_power
+            vel[j] = speed[..., None] * unit
+            prs[j] = self.pressure_coeff * speed**2
+        return vel, prs
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -318,12 +341,11 @@ class GridField:
     """Cell-centered samples of a velocity/pressure pair on a cylinder.
 
     ``velocity`` has shape (Nt, N, N, N, 3) and ``pressure`` (Nt, N, N, N);
-    axis order is (t, x1, x2, x3).  Immutable: construction marks both
-    sample arrays read-only, and the discrete divergence residual is
-    recorded up front.  The quantities layer caches ball moments per field
-    in ``_ball_cache``, which is only valid because the samples cannot
-    change.  Equality is identity: fields hold arrays, which have no single
-    truth value to compare by.
+    axis order is (t, x1, x2, x3).  Immutable: construction marks the sample
+    arrays and the cell-centre ``times`` read-only and records the discrete
+    divergence residual.  The quantities layer caches ball moments per field
+    in ``_ball_cache``, valid only because the samples cannot change.
+    Equality is identity: fields hold arrays, which have no single truth value.
     """
 
     cylinder: CylinderSpec
@@ -334,6 +356,7 @@ class GridField:
     radial_power: float = 0.0
     time_power: float = 0.0
     div_residual: float = dc_field(default=0.0)
+    times: np.ndarray = dc_field(init=False, repr=False)
     _ball_cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -346,6 +369,10 @@ class GridField:
             raise NonFiniteSampleError("non-finite samples in grid field")
         self.velocity.flags.writeable = False
         self.pressure.flags.writeable = False
+        T = self.cylinder.time_depth
+        times = -T + T / self.n_time * (np.arange(self.n_time) + 0.5)
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "div_residual", divergence_residual(self))
 
     @property
@@ -353,12 +380,6 @@ class GridField:
         a = self.cylinder.space_radius
         h = 2.0 * a / self.n_space
         return -a + h * (np.arange(self.n_space) + 0.5)
-
-    @property
-    def times(self) -> np.ndarray:
-        T = self.cylinder.time_depth
-        h = T / self.n_time
-        return -T + h * (np.arange(self.n_time) + 0.5)
 
     @property
     def cell_size(self) -> float:
@@ -380,11 +401,7 @@ def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> Gr
     pts = np.stack([xx, yy, zz], axis=-1)
     T = cyl.time_depth
     times = -T + (T / n_time) * (np.arange(n_time) + 0.5)
-    vel = np.empty((n_time,) + pts.shape)
-    prs = np.empty((n_time,) + pts.shape[:-1])
-    for j, t in enumerate(times):
-        vel[j] = profile.velocity(pts, t)
-        prs[j] = profile.pressure(pts, t)
+    vel, prs = profile.slices(pts, times)
     if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(prs))):
         raise NonFiniteSampleError("profile evaluated non-finite inside the cylinder")
     return GridField(
@@ -508,6 +525,9 @@ def read_grid_csv(csv_path, sidecar_path) -> GridField:
             meta = json.load(fh)
         n, nt = (operator.index(meta[k]) for k in ("n_space", "n_time"))
         cyl = CylinderSpec(**meta["cylinder"])
+        powers = [meta.get(k, 0.0) for k in ("radial_power", "time_power")]
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in powers):
+            raise ValueError(f"radial_power and time_power must be finite reals, got {powers}")
     except KeyError as exc:
         raise FileFormatError(f"{sidecar_path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # malformed JSON is a ValueError
@@ -533,6 +553,6 @@ def read_grid_csv(csv_path, sidecar_path) -> GridField:
         n_time=nt,
         velocity=vel,
         pressure=prs,
-        radial_power=meta.get("radial_power", 0.0),
-        time_power=meta.get("time_power", 0.0),
+        radial_power=powers[0],
+        time_power=powers[1],
     )

@@ -58,11 +58,12 @@ def _separable_powers(profile: Profile, kind: str):
 
 
 def _ball_integral(profile: Profile, key, r: float, t: float,
-                   cfg: QuadratureConfig) -> float:
+                   cfg: QuadratureConfig, cells: Optional[dict] = None) -> float:
     """int_{B(r)} of the moment ``key`` at fixed t for an analytic profile.
 
     Separable |v|^p and |q|^p integrate radially, exactly or on the graded
-    rule; everything else is a Cartesian cell sum.
+    rule; everything else is a Cartesian cell sum.  Calls at one (r, t) that
+    share a ``cells`` dict evaluate |v|, |q| or |grad v|^2 there once.
     """
     kind = key[0]
     sep = _separable_powers(profile, kind)
@@ -82,16 +83,20 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
         radial = float(np.sum(weights * nodes ** (2 + a * p)))
         return FOUR_PI * coef**p * radial * (-t) ** (b * p)
     pts, w = ball_grid(r, cfg.n_space)
+    cells = {} if cells is None else cells
+    if kind not in cells:
+        if kind == "gradsq":
+            vals = profile.grad_norm_sq(pts, t)
+            if vals is None:
+                vals = _gradsq_fd(profile, pts, t, 0.25 * 2.0 * r / cfg.n_space)
+        elif kind == "speed":
+            vals = profile.speed(pts, t)
+        else:
+            vals = np.abs(profile.pressure(pts, t))
+        cells[kind] = vals
     if kind == "gradsq":
-        vals = profile.grad_norm_sq(pts, t)
-        if vals is None:
-            vals = _gradsq_fd(profile, pts, t, 0.25 * 2.0 * r / cfg.n_space)
-        return float(np.sum(vals)) * w
-    if kind == "speed":
-        vals = profile.speed(pts, t)
-    else:
-        vals = np.abs(profile.pressure(pts, t))
-    return float(np.sum(vals ** key[1])) * w
+        return float(np.sum(cells[kind])) * w
+    return float(np.sum(cells[kind] ** key[1])) * w
 
 
 def _gradsq_fd(profile: Profile, pts: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -122,13 +127,12 @@ def _time_integrate(Gfun, time_exponent: Optional[float], T: float,
 
 
 def _grid_times_in(field: GridField, T: float):
-    times = field.times
-    sel = times > -T
-    if not np.any(sel):
+    idx = np.flatnonzero(field.times > -T)
+    if not idx.size:
         raise ResolutionError(
             f"no grid time samples inside (-{T}, 0); refine n_time or enlarge r"
         )
-    return np.nonzero(sel)[0], field.cylinder.time_depth / field.n_time
+    return idx, field.cylinder.time_depth / field.n_time
 
 
 def _grid_shells(field: GridField):
@@ -157,13 +161,14 @@ def _grid_cell_moment(field: GridField, key) -> np.ndarray:
             u = field.velocity[..., comp]
             for ax in (1, 2, 3):
                 d = np.gradient(u, h, axis=ax)
-                g += d * d
+                g += np.square(d, out=d)
         return g
     kind, p = key
-    if kind == "speed":
-        v = field.velocity
-        return np.sqrt(np.einsum("...i,...i->...", v, v)) ** p
-    return np.abs(field.pressure) ** p
+    v = field.velocity
+    cells = (np.sqrt(np.einsum("...i,...i->...", v, v)) if kind == "speed"
+             else np.abs(field.pressure))
+    cells **= p  # in place: the same power as cells ** p, one array fewer
+    return cells
 
 
 def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
@@ -175,11 +180,13 @@ def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
     shell_d2, shell_of_cell = _grid_shells(field)
     table = field._ball_cache.get(key)
     if table is None:
-        vals = _grid_cell_moment(field, key).reshape(field.n_time, -1)
-        table = np.zeros((field.n_time, shell_d2.size + 1))
-        for row, cells in zip(table, vals):
-            np.cumsum(np.bincount(shell_of_cell, weights=cells,
-                                  minlength=shell_d2.size), out=row[1:])
+        nt, ns = field.n_time, shell_d2.size
+        cells = _grid_cell_moment(field, key).ravel()  # before the bins: a lower peak
+        # bins (time, shell): each adds its cells in a per-slice bincount's order
+        sums = np.bincount((np.arange(nt)[:, None] * ns + shell_of_cell).ravel(),
+                           weights=cells, minlength=nt * ns)
+        table = np.zeros((nt, ns + 1))
+        np.cumsum(sums.reshape(nt, ns), axis=1, out=table[:, 1:])
         field._ball_cache[key] = table
     k = np.searchsorted(shell_d2, r**2, side="left")
     return table[:, k] * field.cell_size**3

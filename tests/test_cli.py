@@ -318,6 +318,16 @@ def test_rational_keeps_exact_values():
             RunConfig({"construct.m0": raw}).rational("construct.m0")
 
 
+@pytest.mark.parametrize("alpha, m0", [("0", "24/25"), ("1", "9/10")],
+                         ids=["alpha0", "alpha1"])
+def test_construct_edge_branch_refuses_delta(tmp_path, capsys, alpha, m0):
+    argv = ("construct", f"construct.alpha={alpha}", f"construct.m0={m0}",
+            "construct.delta=17/10")
+    assert run(tmp_path, *argv) == EXIT_INVALID
+    assert "delta=17/10" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("delta", ["none", "None"])
 def test_construct_delta_none_is_absent(tmp_path, delta):
     assert run(tmp_path, "construct", f"construct.delta={delta}") == EXIT_OK

@@ -178,6 +178,12 @@ class TestConstruction:
         with pytest.raises(DomainError):
             construct_profile_exponents(Fraction(9, 10), Fraction(0))
 
+    @pytest.mark.parametrize("m0, a", [(Fraction(24, 25), 0), (Fraction(9, 10), 1)],
+                             ids=["alpha0", "alpha1"])
+    def test_edge_branch_refuses_delta(self, m0, a):
+        with pytest.raises(DomainError, match=r"delta=17/10"):
+            construct_profile_exponents(m0, Fraction(a), Fraction(17, 10))
+
     def test_alpha1_branch(self):
         con = construct_profile_exponents(Fraction(9, 10), Fraction(1))
         assert con.branch == "alpha1"

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -232,6 +233,15 @@ class TestGrid:
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.velocity = np.zeros_like(f.velocity)
 
+    def test_times_computed_once_and_read_only(self):
+        f = sample(SteadyShearProfile(1.0, 2.0), CylinderSpec(0.5, mu=1.7), 4, 5)
+        assert f.times is f.times
+        assert not f.times.flags.writeable
+        with pytest.raises(ValueError):
+            f.times[0] = 0.0
+        T = f.cylinder.time_depth
+        assert f.times.tobytes() == (-T + (T / 5) * (np.arange(5) + 0.5)).tobytes()
+
     def test_grid_field_equality_is_identity(self):
         f = sample(ConstantProfile((1.0, 0.0, 0.0)), CylinderSpec(1.0), 4, 2)
         g = sample(ConstantProfile((1.0, 0.0, 0.0)), CylinderSpec(1.0), 4, 2)
@@ -242,6 +252,55 @@ class TestGrid:
     def test_bad_cylinder(self):
         with pytest.raises(ValueError):
             CylinderSpec(radius=-1.0)
+
+
+def _per_slice_sample(profile, cyl, n, nt):
+    """Reference: velocity and pressure evaluated slice by slice."""
+    a, T = cyl.space_radius, cyl.time_depth
+    axis = -a + 2.0 * a / n * (np.arange(n) + 0.5)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    times = -T + (T / nt) * (np.arange(nt) + 0.5)
+    vel = np.empty((nt,) + pts.shape)
+    prs = np.empty((nt,) + pts.shape[:-1])
+    for j, t in enumerate(times):
+        vel[j] = profile.velocity(pts, t)
+        prs[j] = profile.pressure(pts, t)
+    return vel, prs
+
+
+def _swirl(y):
+    return azimuthal_unit(y + 0.1) * np.exp(-np.sum(y * y, axis=-1))[..., None]
+
+
+class TestSampleBytes:
+    """sample takes every slice from one profile call; each sample must be
+    bit for bit the per-slice velocity or pressure."""
+
+    @pytest.mark.parametrize("profile, cyl, n, nt", [
+        (PowerLawProfile(alpha_p=0.0, gamma_p=1.2), CylinderSpec(1.0), 6, 4),
+        (PowerLawProfile(c=1.1, alpha_p=0.45, gamma_p=1.25, pressure_coeff=0.6),
+         CylinderSpec(0.8, lam=1.3, mu=1.7), 8, 5),
+        (PowerLawProfile(alpha_p=1.0, gamma_p=1.3), CylinderSpec(1.0, mu=0.6), 6, 3),
+        (PowerLawProfile(pressure_coeff=0.0), CylinderSpec(2.0), 4, 7),
+        (ConstantProfile((0.3, -1.2, 2.0)), CylinderSpec(1.0), 5, 3),
+        (SteadyShearProfile(0.7, 2.0), CylinderSpec(0.5, mu=2.0), 6, 5),
+        (SelfSimilarProfile(alpha=1.5, U=_swirl, P=lambda y: np.sum(y * y, axis=-1)),
+         CylinderSpec(1.0, mu=1.4), 6, 5),
+    ], ids=["pl-alpha0", "pl-alpha045-mu", "pl-alpha1", "pl-no-pressure", "constant",
+            "shear", "self-similar"])
+    def test_sample_matches_per_slice_evaluation(self, profile, cyl, n, nt):
+        f = sample(profile, cyl, n, nt)
+        vel, prs = _per_slice_sample(profile, cyl, n, nt)
+        assert f.velocity.tobytes() == vel.tobytes()
+        assert f.pressure.tobytes() == prs.tobytes()
+
+    def test_power_law_slices_guard_time_and_origin(self):
+        p = PowerLawProfile()
+        x = RNG.normal(size=(4, 3))
+        with pytest.raises(SingularPointError):
+            p.slices(x, np.array([-1.0, 0.0]))
+        with pytest.raises(SingularPointError):
+            p.slices(np.zeros((1, 3)), np.array([-1.0]))
 
 
 class TestGridCsvErrors:
@@ -290,6 +349,26 @@ class TestGridCsvErrors:
         with pytest.raises(FileFormatError, match=match) as exc:
             read_grid_csv(csv_path, meta_path)
         assert "field.json" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["radial_power", "time_power"])
+    @pytest.mark.parametrize("value", ['"abc"', "true", "NaN"], ids=["str", "bool", "nan"])
+    def test_bad_sidecar_power_names_sidecar(self, files, key, value):
+        csv_path, meta_path, _ = files
+        meta_path.write_text(meta_path.read_text().replace(f'"{key}": 0.0', f'"{key}": {value}'))
+        with pytest.raises(FileFormatError, match="finite reals") as exc:
+            read_grid_csv(csv_path, meta_path)
+        assert "field.json" in str(exc.value)
+
+    def test_missing_sidecar_powers_default_to_zero(self, files):
+        csv_path, meta_path, _ = files
+        f = PowerLawProfile(c=0.9, alpha_p=0.6, gamma_p=1.15)
+        write_grid_csv(sample(f, CylinderSpec(0.5), 2, 2), csv_path, meta_path)
+        meta = json.loads(meta_path.read_text())
+        assert meta["radial_power"] < 0 and meta["time_power"] < 0
+        del meta["radial_power"], meta["time_power"]
+        meta_path.write_text(json.dumps(meta))
+        g = read_grid_csv(csv_path, meta_path)
+        assert (g.radial_power, g.time_power) == (0.0, 0.0)
 
     def test_header_only_file(self, files):
         csv_path, meta_path, lines = files

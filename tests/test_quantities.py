@@ -261,6 +261,32 @@ class TestGridBallLookup:
         above = math.nextafter(r_edge, 2.0)
         assert sup_weighted_mass(f, above, 0.0) > sup_weighted_mass(f, r_edge, 0.0)
 
+    @pytest.mark.parametrize("n, nt, profile", [
+        (12, 8, PowerLawProfile(c=1.1, alpha_p=0.45, gamma_p=1.25, pressure_coeff=0.6)),
+        (7, 5, _SmoothProfile()),
+    ])
+    def test_tables_equal_per_slice_bincounts(self, n, nt, profile):
+        f = sample(profile, CylinderSpec(1.0, mu=1.3), n, nt)
+        quantity_report(f, (0.4, 0.7, 1.0), derive(*self.sl))
+        shell_d2, shell_of_cell = f._ball_cache["shells"]
+        v, h = f.velocity, f.cell_size
+        gradsq = np.zeros(f.pressure.shape)
+        for comp in range(3):
+            for ax in (1, 2, 3):
+                d = np.gradient(v[..., comp], h, axis=ax)
+                gradsq += d * d
+        cells = {("gradsq",): gradsq}
+        for p in (2.0, 3.0, self.sl[0]):
+            cells["speed", p] = np.sqrt(np.einsum("...i,...i->...", v, v)) ** p
+        cells["pressure", 1.5] = np.abs(f.pressure) ** 1.5
+        assert set(f._ball_cache) == {"shells", *cells}
+        for key, values in cells.items():
+            want = np.zeros((nt, shell_d2.size + 1))
+            for j in range(nt):
+                want[j, 1:] = np.cumsum(np.bincount(shell_of_cell, weights=values[j].ravel(),
+                                                    minlength=shell_d2.size))
+            assert f._ball_cache[key].tobytes() == want.tobytes(), key
+
     def test_builds_only_requested_moments(self):
         f = sample(_SmoothProfile(), CylinderSpec(1.0), 8, 4)
         cylinder_power_integral(f, "speed", 3.0, 1.0, 2.0)
