@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fields import DiscreteSelfSimilarProfile, Profile
+from .fields import DiscreteSelfSimilarProfile, Profile, _norm3
 from .quadrature import DEFAULT_CONFIG, FOUR_PI, QuadratureConfig, ball_grid, graded_nodes
 from .quantities import _ball_integral, _gradsq_fd
 
@@ -190,7 +190,7 @@ def growth_envelope(u: Callable, exponent: float,
             pts, w = ball_grid(b, cfg.n_space)
             vals = np.asarray(u(pts), dtype=float)
             if vals.ndim == pts.ndim:
-                vals = np.linalg.norm(vals, axis=-1)
+                vals = _norm3(vals)
             raw = float(np.sum(np.abs(vals) ** power)) * w
         masses.append(b**-exponent * raw)
     sup = np.maximum.accumulate(masses)

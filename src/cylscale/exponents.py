@@ -21,6 +21,8 @@ Number = Union[int, float, Fraction]
 #: tolerance for identity certificates evaluated in binary64
 IDENTITY_TOL = 1e-12
 
+_HALF = Fraction(1, 2)
+
 
 def _exact(*values):
     """The one exact-mode rule: ``values`` as Fractions when all are rational
@@ -104,9 +106,8 @@ def q_interp(s: Number, l: Number) -> Number:
 def strong_admissibility(s: Number, l: Number) -> bool:
     """Strict window 1 > 3/s + 2/l - 1 > 1/2 + max(1/(2l), 1/2 - 1/l)."""
     s, l = _pair(s, l)
-    half = Fraction(1, 2)
     mid = 3 / s + 2 / l - 1
-    lower = half + max(1 / (2 * l), half - 1 / l)
+    lower = _HALF + max(1 / (2 * l), _HALF - 1 / l)
     return lower < mid < 1
 
 
@@ -211,9 +212,8 @@ class ProfileConstruction:
 def delta_interval(m0: Number, alpha_profile: Number):
     """Admissible open interval for delta in the interior construction."""
     m0, a = _exact(m0, alpha_profile)
-    lo = max(6 / (3 + a), 4 / (3 - a)) / (2 - m0)
-    hi = 2 / (2 - m0)
-    return lo, hi
+    width = 2 - m0
+    return max(6 / (3 + a), 4 / (3 - a)) / width, 2 / width
 
 
 def construct_profile_exponents(
@@ -242,15 +242,15 @@ def construct_profile_exponents(
     if a == 0:
         if not Fraction(19, 20) < m0 < 1:
             raise DomainError(f"alpha=0 branch needs 19/20 < m0 < 1, got m0={m0}")
-        s = 10 / (3 * (1 + d1))
-        l = 20 / (11 * (1 - d2))
-        return _finish_construction(m0, a, None, None, s, l, branch="alpha0")
+        # s = 10/(3(1 + d1)), l = 20/(11(1 - d2))
+        return _finish_construction(m0, a, None, None, 3 * (1 + d1) / 10,
+                                    11 * (1 - d2) / 20, branch="alpha0")
     if a == 1:
         if not Fraction(4, 5) < m0 < 1:
             raise DomainError(f"alpha=1 branch needs 4/5 < m0 < 1, got m0={m0}")
-        s = 15 / (7 * (1 - d1))
-        l = 10 / (3 * (1 + d2))
-        return _finish_construction(m0, a, None, None, s, l, branch="alpha1")
+        # s = 15/(7(1 - d1)), l = 10/(3(1 + d2))
+        return _finish_construction(m0, a, None, None, 7 * (1 - d1) / 15,
+                                    3 * (1 + d2) / 10, branch="alpha1")
     if not 0 < a < 1:
         raise DomainError(
             f"interior branch needs 0 < alpha_profile < 1, got {alpha_profile}"
@@ -265,20 +265,24 @@ def construct_profile_exponents(
         delta = (lo + hi) / 2
     elif not lo < delta < hi:
         raise DomainError(f"delta={delta} outside admissible interval ({lo}, {hi})")
-    inv_l = delta * (2 - m0) * (1 - a) / 2
-    inv_s = delta * (2 - m0) * a / 3
-    return _finish_construction(m0, a, delta, (lo, hi), 1 / inv_s, 1 / inv_l,
+    scale = delta * (2 - m0)
+    return _finish_construction(m0, a, delta, (lo, hi), scale * a / 3, scale * (1 - a) / 2,
                                 branch="interior")
 
 
-def _finish_construction(m0, a, delta, interval, s, l, branch):
-    mid = 3 / s + 2 / l - 1
-    k = kappa(s, l)
+def _finish_construction(m0, a, delta, interval, inv_s, inv_l, branch):
+    # written on 1/s and 1/l, whose rational denominators stay small
+    if not (0 < inv_s <= 1 and 0 < inv_l <= 1):
+        raise DomainError(f"require s >= 1 and l >= 1, got 1/s={inv_s}, 1/l={inv_l}")
+    s, l = 1 / inv_s, 1 / inv_l
+    mid = 3 * inv_s + 2 * inv_l - 1
+    k = mid / inv_l  # kappa(s, l)
     gamma = mid * (1 - m0) + 1
+    time_gamma = (1 - a) * gamma  # the profile's time exponent is -time_gamma/2
     # radius exponent of the attenuated mixed norm of the profile
-    certificate = -k * m0 + (2 - (1 - a) * gamma * l) + (3 - a * s * gamma) * l / s
-    integrable = (1 / l > gamma * (1 - a) / 2) and (1 / s > gamma * a / 3)
-    strong = strong_admissibility(s, l)
+    certificate = -k * m0 + (2 - time_gamma * l) + (3 - a * s * gamma) * l / s
+    integrable = inv_l > time_gamma / 2 and inv_s > gamma * a / 3
+    strong = _HALF + max(inv_l / 2, _HALF - inv_l) < mid < 1  # strong_admissibility(s, l)
     edge_check = None
     if branch == "alpha0":
         edge_check = l * gamma < 2

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    DomainError,
     FileFormatError,
     NonFiniteSampleError,
     RadiusError,
@@ -37,8 +38,8 @@ class CylinderSpec:
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.radius, self.lam, self.mu)):
-            raise ValueError("cylinder radius and anisotropy factors must be positive "
-                             f"and finite, got {self}")
+            raise DomainError("cylinder radius and anisotropy factors must be positive "
+                              f"and finite, got {self}")
 
     @property
     def space_radius(self) -> float:
@@ -47,6 +48,11 @@ class CylinderSpec:
     @property
     def time_depth(self) -> float:
         return self.mu * self.radius**2
+
+
+def _norm3(v: np.ndarray) -> np.ndarray:
+    """|v| over a last axis of 3: np.linalg.norm(v, axis=-1)'s sum, without its copy."""
+    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
 
 
 def azimuthal_unit(x: np.ndarray) -> np.ndarray:
@@ -85,7 +91,7 @@ class Profile:
         raise NotImplementedError
 
     def speed(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.linalg.norm(self.velocity(x, t), axis=-1)
+        return _norm3(self.velocity(x, t))
 
     def slices(self, x: np.ndarray, times) -> tuple:
         """(velocity, pressure) at each of ``times``, on a leading time axis."""
@@ -124,10 +130,12 @@ class PowerLawProfile(Profile):
     pressure_coeff: float = 1.0
 
     def __post_init__(self):
+        if not 0 <= self.c < math.inf:
+            raise DomainError(f"c must be finite and non-negative, got {self.c}")
         if not 0 <= self.alpha_p <= 1:
-            raise ValueError(f"alpha_p must lie in [0, 1], got {self.alpha_p}")
-        if self.gamma_p <= 1:
-            raise ValueError(f"gamma_p must exceed 1, got {self.gamma_p}")
+            raise DomainError(f"alpha_p must lie in [0, 1], got {self.alpha_p}")
+        if not 1 < self.gamma_p < math.inf:
+            raise DomainError(f"gamma_p must exceed 1 and be finite, got {self.gamma_p}")
 
     @property
     def radial_power(self) -> float:
@@ -145,12 +153,18 @@ class PowerLawProfile(Profile):
     def coef(self) -> float:
         return self.c
 
-    def speed(self, x, t):
+    def _speed_pass(self, x, t):
+        """(speed, sigma^2) from one pass over x, sigma the distance to the x3-axis."""
         _check_time(t)
-        rho = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+        x = np.asarray(x, dtype=float)
+        sigma_sq = x[..., 0] ** 2 + x[..., 1] ** 2
+        rho = np.sqrt(sigma_sq + x[..., 2] ** 2)  # summed as _norm3 sums it
         if self.radial_power < 0 and np.any(rho == 0):
             raise SingularPointError("power-law profile singular at x = 0")
-        return self.c * rho**self.radial_power * (-t) ** self.time_power
+        return self.c * rho**self.radial_power * (-t) ** self.time_power, sigma_sq
+
+    def speed(self, x, t):
+        return self._speed_pass(x, t)[0]
 
     def slices(self, x, times):
         # speed at t = -1 is c * rho**radial_power bit for bit (1.0**p is 1), so one
@@ -175,9 +189,9 @@ class PowerLawProfile(Profile):
 
     def grad_norm_sq(self, x, t):
         x = np.asarray(x, dtype=float)
-        g = self.speed(x, t)
+        g, sigma_sq = self._speed_pass(x, t)
+        # einsum sums rho^2 in its own order, not _norm3's: keep its bits
         rho_sq = np.einsum("...i,...i->...", x, x)
-        sigma_sq = x[..., 0] ** 2 + x[..., 1] ** 2
         if np.any(sigma_sq == 0):
             raise SingularPointError("gradient undefined on the x3-axis")
         return g**2 * (self.radial_power**2 / rho_sq + 1.0 / sigma_sq)
@@ -364,7 +378,7 @@ class GridField:
             raise ResolutionError("grid needs at least 2 cells per axis")
         expected = (self.n_time, self.n_space, self.n_space, self.n_space)
         if self.velocity.shape != expected + (3,) or self.pressure.shape != expected:
-            raise ValueError("sample arrays do not match the declared resolutions")
+            raise ResolutionError("sample arrays do not match the declared resolutions")
         if not (np.all(np.isfinite(self.velocity)) and np.all(np.isfinite(self.pressure))):
             raise NonFiniteSampleError("non-finite samples in grid field")
         self.velocity.flags.writeable = False

@@ -305,6 +305,25 @@ def test_bad_exponent_key_exits_invalid(tmp_path, capsys, command, override):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("override, message", [
+    ("profile.c=-1", "c must be finite and non-negative"),
+    ("profile.alpha_p=2", "alpha_p must lie in [0, 1]"),
+    ("profile.gamma_p=nan", "profile.gamma_p must be a finite number"),
+    ("profile.c=inf", "profile.c must be a finite number"),
+])
+def test_bad_power_law_parameter_exits_invalid(tmp_path, capsys, override, message):
+    # profile.c=-1 used to fail on a complex M_kappa, as a float() TypeError
+    assert run(tmp_path, "quantities", override) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_zero_power_law_coefficient_runs(tmp_path):
+    assert run(tmp_path, "quantities", "profile.c=0", "--format", "json") == EXIT_OK
+    rows = read_json(tmp_path, "quantities")["rows"]
+    assert rows and all(row["C"] == 0.0 and row["M_kappa"] == 0.0 for row in rows)
+
+
 def test_rational_keeps_exact_values():
     from fractions import Fraction
 

@@ -1,5 +1,6 @@
 """Unit and property tests for the exponent algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -191,6 +192,95 @@ class TestConstruction:
         assert con.integrable
         with pytest.raises(DomainError):
             construct_profile_exponents(Fraction(1, 2), Fraction(1))
+
+    @pytest.mark.parametrize("a, deltas", [
+        (0, {"delta2": Fraction(2)}), (1, {"delta1": Fraction(3, 2)}),
+        (0, {"delta2": 1}), (0, {"delta1": -1}), (1, {"delta1": 1.0}),
+    ], ids=["l-negative", "s-negative", "l-infinite", "s-infinite", "s-infinite-float"])
+    def test_edge_branch_refuses_s_or_l_below_one(self, a, deltas):
+        # an infinite s or l (1/s or 1/l = 0) used to raise ZeroDivisionError
+        with pytest.raises(DomainError, match="s >= 1 and l >= 1"):
+            construct_profile_exponents(Fraction(97, 100), a, **deltas)
+
+
+def _sl_construction(m0, a, s, l):
+    """Every construction field from (s, l) themselves, as the construction
+    computed them before it carried 1/s and 1/l."""
+    mid = 3 / s + 2 / l - 1
+    k = l * (3 / s + 2 / l - 1)
+    gamma = mid * (1 - m0) + 1
+    return {
+        "s": s, "l": l, "gamma": gamma, "kappa": k,
+        "exponent_certificate":
+            -k * m0 + (2 - (1 - a) * gamma * l) + (3 - a * s * gamma) * l / s,
+        "integrable": (1 / l > gamma * (1 - a) / 2) and (1 / s > gamma * a / 3),
+        "strong_admissible": strong_admissibility(s, l),
+        "edge_check": (l * gamma < 2 if a == 0 else s * gamma < 3 if a == 1 else None),
+    }
+
+
+def _sl_interior(m0, a, delta):
+    """The interior branch's (s, l) as 1/(1/s) and 1/(1/l)."""
+    inv_l = delta * (2 - m0) * (1 - a) / 2
+    inv_s = delta * (2 - m0) * a / 3
+    return _sl_construction(m0, a, 1 / inv_s, 1 / inv_l)
+
+
+def _criterion_1_triples():
+    """The 100 (m0, alpha, delta) draws of acceptance criterion 1."""
+    rng = random.Random(20250825)
+    triples = []
+    while len(triples) < 100:
+        m0 = Fraction(rng.randrange(5, 99), 100)
+        a = Fraction(rng.randrange(5, 95), 100)
+        lo, hi = delta_interval(m0, a)
+        if lo < hi:
+            t = Fraction(rng.randrange(1, 99), 100)
+            triples.append((m0, a, lo + t * (hi - lo)))
+    return triples
+
+
+class TestConstructionMatchesSLForm:
+    """The construction works on 1/s and 1/l; its outputs must be the ones
+    the (s, l) formulation gives."""
+
+    def test_rational_draws_equal_as_fractions(self):
+        for m0, a, delta in _criterion_1_triples():
+            con = construct_profile_exponents(m0, a, delta)
+            for name, want in _sl_interior(m0, a, delta).items():
+                got = getattr(con, name)
+                assert got == want and type(got) is type(want), (m0, a, delta, name)
+
+    @pytest.mark.parametrize("m0, a, d1, d2, s, l", [
+        (Fraction(97, 100), 0, Fraction(1, 100), Fraction(1, 100),
+         lambda d1: 10 / (3 * (1 + d1)), lambda d2: 20 / (11 * (1 - d2))),
+        (Fraction(24, 25), 0, Fraction(1, 50), Fraction(3, 100),
+         lambda d1: 10 / (3 * (1 + d1)), lambda d2: 20 / (11 * (1 - d2))),
+        (Fraction(9, 10), 1, Fraction(1, 100), Fraction(1, 100),
+         lambda d1: 15 / (7 * (1 - d1)), lambda d2: 10 / (3 * (1 + d2))),
+        (Fraction(99, 100), 1, Fraction(1, 50), Fraction(3, 100),
+         lambda d1: 15 / (7 * (1 - d1)), lambda d2: 10 / (3 * (1 + d2))),
+    ], ids=["alpha0", "alpha0-deltas", "alpha1", "alpha1-deltas"])
+    def test_edge_branches_equal_as_fractions(self, m0, a, d1, d2, s, l):
+        for m0_in in (m0, float(m0)):  # a float m0 keeps s and l rational
+            con = construct_profile_exponents(m0_in, Fraction(a), delta1=d1, delta2=d2)
+            want = _sl_construction(m0_in, Fraction(a), s(d1), l(d2))
+            for name, value in want.items():
+                got = getattr(con, name)
+                assert got == value and type(got) is type(value), (m0_in, name)
+
+    def test_float_draws_within_a_few_ulps(self):
+        # 3*inv_s is not 3/(1/inv_s) in binary64: gamma moves by at most 2 ulps,
+        # kappa by at most 5 and the certificate stays ~1e-14 over 6000 draws
+        for m0, a, delta in _criterion_1_triples():
+            m0, a, delta = float(m0), float(a), float(delta)
+            con = construct_profile_exponents(m0, a, delta)
+            want = _sl_interior(m0, a, delta)
+            for name in ("s", "l", "integrable", "strong_admissible", "edge_check"):
+                assert getattr(con, name) == want[name], (m0, a, delta, name)
+            for name, ulps in (("gamma", 2), ("kappa", 5)):
+                assert abs(getattr(con, name) - want[name]) <= ulps * math.ulp(want[name])
+            assert abs(con.exponent_certificate) <= 1e-13
 
 
 def sample_strong_pair(rng):

@@ -14,6 +14,7 @@ from cylscale import (
     CylinderSpec,
     CylscaleError,
     DiscreteSelfSimilarProfile,
+    DomainError,
     FileFormatError,
     GridField,
     PowerLawProfile,
@@ -29,6 +30,8 @@ from cylscale import (
     steady_to_discrete,
     write_grid_csv,
 )
+from cylscale.fields import _norm3
+from cylscale.quadrature import ball_grid
 
 RNG = np.random.default_rng(42)
 
@@ -97,6 +100,85 @@ class TestPowerLawProfile:
             PowerLawProfile(alpha_p=1.5)
         with pytest.raises(ValueError):
             PowerLawProfile(gamma_p=0.9)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"c": -1.0}, {"c": float("nan")}, {"c": float("inf")}, {"alpha_p": float("nan")},
+        {"gamma_p": float("nan")}, {"gamma_p": float("inf")},
+    ], ids=["c-negative", "c-nan", "c-inf", "alpha-nan", "gamma-nan", "gamma-inf"])
+    def test_refuses_non_finite_or_negative_parameters(self, kwargs):
+        # c=-1 used to give a negative C and a complex M_kappa, gamma_p=nan NaN rows
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            PowerLawProfile(**kwargs)
+
+    def test_zero_coefficient_gives_zero_quantities(self):
+        from cylscale import QuadratureConfig, derive, energy_quantities
+
+        graded = QuadratureConfig(n_space=8, radial_rule="graded", time_rule="graded")
+        for cfg in (QuadratureConfig(), graded):
+            row = energy_quantities(PowerLawProfile(c=0.0), 1.0, derive(3, 3, 0.9), cfg)
+            assert all(v == 0.0 for k, v in vars(row).items() if k != "r")
+
+
+def _parent_speed(p, x, t):
+    """PowerLawProfile.speed as a norm over every point, spelled out."""
+    return p.c * np.linalg.norm(x, axis=-1) ** p.radial_power * (-t) ** p.time_power
+
+
+def _parent_grad_norm_sq(p, x, t):
+    g = _parent_speed(p, x, t)
+    rho_sq = np.einsum("...i,...i->...", x, x)
+    sigma_sq = x[..., 0] ** 2 + x[..., 1] ** 2
+    return g**2 * (p.radial_power**2 / rho_sq + 1.0 / sigma_sq)
+
+
+class TestNormBits:
+    """_norm3 and the power-law evaluators stand in for np.linalg.norm; every
+    bit must agree with it."""
+
+    @pytest.mark.parametrize("r", [0.05, 0.125, 0.5, 1.0, 2.0, 7.3])
+    @pytest.mark.parametrize("n", [4, 9, 16, 32])
+    def test_norm3_on_ball_grids(self, r, n):
+        pts = ball_grid(r, n)[0]
+        assert np.array_equal(_norm3(pts), np.linalg.norm(pts, axis=-1))
+
+    def test_norm3_on_random_and_extreme_values(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1000, 3), (7, 9, 3), (4, 5, 6, 3)]:
+            x = 10.0 ** rng.uniform(-3, 3, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            assert np.array_equal(_norm3(x), np.linalg.norm(x, axis=-1))
+            strided = np.swapaxes(np.swapaxes(x, 0, -1).copy(), 0, -1)
+            assert np.array_equal(_norm3(strided), np.linalg.norm(strided, axis=-1))
+        tiny, huge = 5e-324, np.finfo(float).max
+        x = np.array([[-0.0, 0.0, -0.0], [tiny, -tiny, 3 * tiny], [2.2e-308, 1e-310, -1e-320],
+                      [1e154, 1e154, 1e154], [1.4e154, -1.4e154, 0.5], [huge, 0.0, 0.0],
+                      [huge / 2, huge / 2, 0.0], [-1e200, 1e-200, 0.0]])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(_norm3(x), np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("profile", [
+        PowerLawProfile(),
+        PowerLawProfile(c=1.1, alpha_p=0.45, gamma_p=1.25, pressure_coeff=0.6),
+        PowerLawProfile(alpha_p=0.0, gamma_p=1.2),
+        PowerLawProfile(c=0.8, alpha_p=1.0, gamma_p=1.3),
+    ], ids=["default", "alpha045", "alpha0", "alpha1"])
+    def test_power_law_evaluators_match_norm_formulas(self, profile):
+        for r, n in ((0.125, 16), (1.0, 32), (2.0, 10)):
+            pts = ball_grid(r, n)[0]
+            for t in (-0.3, -1.0, -2.5):
+                speed = _parent_speed(profile, pts, t)
+                assert profile.speed(pts, t).tobytes() == speed.tobytes()
+                assert (profile.grad_norm_sq(pts, t).tobytes()
+                        == _parent_grad_norm_sq(profile, pts, t).tobytes())
+                assert (profile.velocity(pts, t).tobytes()
+                        == (speed[..., None] * azimuthal_unit(pts)).tobytes())
+                assert (profile.pressure(pts, t).tobytes()
+                        == (profile.pressure_coeff * speed**2).tobytes())
+
+    def test_base_speed_is_the_velocity_norm(self):
+        p = SteadyShearProfile(0.7, 2.0)
+        pts = ball_grid(1.0, 12)[0]
+        assert np.array_equal(super(SteadyShearProfile, p).speed(pts, -1.0),
+                              np.linalg.norm(p.velocity(pts, -1.0), axis=-1))
 
 
 class TestSelfSimilar:
@@ -252,6 +334,15 @@ class TestGrid:
     def test_bad_cylinder(self):
         with pytest.raises(ValueError):
             CylinderSpec(radius=-1.0)
+
+    def test_typed_construction_errors(self):
+        for bad in ({"radius": float("nan")}, {"radius": 1.0, "lam": 0.0},
+                    {"radius": 1.0, "mu": float("inf")}):
+            with pytest.raises(DomainError):
+                CylinderSpec(**bad)
+        f = sample(SteadyShearProfile(1.0, 2.0), CylinderSpec(1.0), 4, 2)
+        with pytest.raises(ResolutionError, match="declared resolutions"):
+            GridField(f.cylinder, 4, 3, f.velocity, f.pressure)
 
 
 def _per_slice_sample(profile, cyl, n, nt):
