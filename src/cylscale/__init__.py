@@ -14,6 +14,7 @@ from .errors import (
     GeometryError,
     InequalityStructureError,
     InfeasibleDeltaError,
+    NonFiniteResultError,
     NonFiniteSampleError,
     RadiusError,
     ResolutionError,

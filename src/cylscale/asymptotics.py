@@ -75,6 +75,8 @@ def derive_iteration_params(m: float, gamma: float,
         raise DomainError(f"m must lie in (1/2, 3/5), got {m}")
     if gamma < 0:
         raise DomainError(f"gamma must be nonnegative, got {gamma}")
+    if not C_force >= 0:
+        raise DomainError(f"C_force must be nonnegative, got {C_force}")
     m1 = 2.0 * m - 1.0
     theta = 2.0 / (2.0 + m1)
     beta = 1.25 * (1.0 - 5.0 * m / 3.0)

@@ -23,7 +23,7 @@ from . import exponents as ex
 from . import fields as fl
 from . import quantities as qt
 from . import scaling as sc
-from .errors import CylscaleError
+from .errors import CylscaleError, NonFiniteResultError
 from .quadrature import QuadratureConfig
 
 OUT_ENV = "CYLSCALE_OUT"
@@ -38,6 +38,7 @@ DEFAULTS = {
     "exponents.m0": "9/10",
     "construct.m0": "9/10",
     "construct.alpha": "1/2",
+    "construct.delta": "none",
     "profile.kind": "power-law",
     "profile.c": "1.0",
     "profile.alpha_p": "0.5",
@@ -70,6 +71,8 @@ DEFAULTS = {
 
 #: largest iterate.k_max accepted; 100,000 steps write about 4 MB of CSV
 K_MAX_LIMIT = 100_000
+#: largest ladder.count accepted; a default suite spends about 1.6 ms of CPU per radius
+LADDER_COUNT_MAX = 1000
 
 
 class ConfigError(CylscaleError):
@@ -89,61 +92,58 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _coerce(raw: str):
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low == "none":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    if "/" in raw:
-        try:
-            return Fraction(raw)
-        except ValueError:
-            pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
 class RunConfig:
-    def __init__(self, entries: dict, tolerance=None):
-        merged = dict(DEFAULTS)
-        merged.update(entries)
-        self.entries = merged
-        if tolerance is not None:
-            self.entries["run.tolerance"] = repr(tolerance)
+    """``DEFAULTS`` overlaid with ``entries``, kept as text; each getter
+    parses its key's text once."""
+
+    def __init__(self, entries: dict):
+        unknown = sorted(set(entries) - set(DEFAULTS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        self._entries = {**DEFAULTS, **entries}
         if not self.tolerance > 0:
             raise ConfigError("run.tolerance must be positive")
 
-    def get(self, key: str):
-        if key not in self.entries:
-            raise ConfigError(f"missing config field {key!r}")
-        return _coerce(self.entries[key])
+    def text(self, key: str) -> str:
+        """The entry as written, for kinds and rules."""
+        return self._entries[key]
 
-    def count(self, key: str, upper=float("inf")) -> int:
+    def optional(self, key: str, read):
+        """None where the entry is ``none``, in any case, else ``read(key)``."""
+        return None if self.text(key).lower() == "none" else read(key)
+
+    def flag(self, key: str) -> bool:
+        """``true`` or ``false``, in any case."""
+        raw = self.text(key)
+        if raw.lower() not in ("true", "false"):
+            raise ConfigError(f"{key} must be true or false, got {raw!r}")
+        return raw.lower() == "true"
+
+    def count(self, key: str, upper=math.inf) -> int:
         """An integer entry in [1, upper]."""
-        value = self.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= upper:
-            raise ConfigError(f"{key} must be an integer in [1, {upper}], got {value!r}")
+        raw = self.text(key)
+        try:
+            value = int(raw)
+        except ValueError:
+            value = 0
+        if not 1 <= value <= upper:
+            raise ConfigError(f"{key} must be an integer in [1, {upper}], got {raw!r}")
         return value
 
     def rational(self, key: str):
         """A finite number entry as written: an integer or a fraction stays
-        exact, a float stays a float."""
-        value = self.get(key)
-        finite = False
-        if isinstance(value, (int, Fraction, float)) and not isinstance(value, bool):
+        exact, a decimal is a float."""
+        raw = self.text(key)
+        try:
             try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer or fraction beyond float range
-                pass
+                value = Fraction(raw) if "/" in raw else int(raw)
+            except ValueError:
+                value = float(raw)
+            finite = math.isfinite(value)  # OverflowError beyond float range
+        except (ValueError, ZeroDivisionError, OverflowError):
+            finite = False
         if not finite:
-            raise ConfigError(f"{key} must be a finite number, got {self.entries[key]!r}")
+            raise ConfigError(f"{key} must be a finite number, got {raw!r}")
         return value
 
     def real(self, key: str) -> float:
@@ -158,18 +158,18 @@ class RunConfig:
         return ex.derive(*(self.rational(f"exponents.{k}") for k in ("s", "l", "m0")))
 
     def quadrature(self) -> QuadratureConfig:
-        # QuadratureConfig checks every field; values pass through uncast
+        # QuadratureConfig checks the ceilings and the rule names
         return QuadratureConfig(
-            n_space=self.get("quadrature.n_space"),
-            n_time=self.get("quadrature.n_time"),
-            n_radial=self.get("quadrature.n_radial"),
-            graded_levels=self.get("quadrature.graded_levels"),
-            radial_rule=self.get("quadrature.radial_rule"),
-            time_rule=self.get("quadrature.time_rule"),
+            n_space=self.count("quadrature.n_space"),
+            n_time=self.count("quadrature.n_time"),
+            n_radial=self.count("quadrature.n_radial"),
+            graded_levels=self.count("quadrature.graded_levels"),
+            radial_rule=self.text("quadrature.radial_rule"),
+            time_rule=self.text("quadrature.time_rule"),
         )
 
     def profile(self):
-        kind = self.get("profile.kind")
+        kind = self.text("profile.kind")
         if kind == "power-law":
             return fl.PowerLawProfile(
                 c=self.real("profile.c"),
@@ -189,14 +189,11 @@ class RunConfig:
     def ladder(self):
         start = self.real("ladder.start")
         factor = self.real("ladder.factor")
-        count = self.count("ladder.count")
+        count = self.count("ladder.count", LADDER_COUNT_MAX)
         for key, value, low in (("ladder.start", start, 0), ("ladder.factor", factor, 1)):
             if not value > low:
                 raise ConfigError(f"{key} must exceed {low}, got {value!r}")
-        try:
-            radii = [start * factor**j for j in range(count)]
-        except OverflowError:
-            radii = [math.inf]
+        radii = [start * factor**j for j in range(count)]  # main reports an OverflowError
         if radii[-1] == math.inf:
             raise ConfigError(f"ladder radius overflows: ladder.start={start!r} times "
                               f"ladder.factor={factor!r} to the power {count - 1}")
@@ -227,9 +224,16 @@ def _cell(v):
     return v if v is None or isinstance(v, (bool, str)) else float(v)
 
 
+def _finite(v) -> bool:
+    """False when v, or a value nested in it, is a float NaN or infinity."""
+    if isinstance(v, (dict, list, tuple)):
+        return all(map(_finite, v.values() if isinstance(v, dict) else v))
+    return not isinstance(v, float) or math.isfinite(v)
+
+
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -244,6 +248,9 @@ def write_csv(path: Path, header, rows) -> None:
 def _emit(cfg: RunConfig, outdir: Path, stem: str, fmt: str, header, rows,
           payload: dict) -> None:
     payload["provenance"] = cfg.provenance()
+    if not _finite([rows, payload]):
+        raise NonFiniteResultError(f"{stem}: a result is not a finite number; "
+                                   "nothing was written")
     if fmt in ("csv", "both"):
         write_csv(outdir / f"{stem}.csv", header, rows)
     if fmt in ("json", "both"):
@@ -266,11 +273,9 @@ def cmd_exponents(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 
 
 def cmd_construct(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    delta = None
-    if _coerce(cfg.entries.get("construct.delta", "none")) is not None:
-        delta = cfg.rational("construct.delta")
     con = ex.construct_profile_exponents(
-        cfg.rational("construct.m0"), cfg.rational("construct.alpha"), delta)
+        cfg.rational("construct.m0"), cfg.rational("construct.alpha"),
+        cfg.optional("construct.delta", cfg.rational))
     record = {
         "m0": con.m0, "alpha": con.alpha_profile, "delta": con.delta,
         "delta_interval": con.delta_interval, "s": con.s, "l": con.l,
@@ -300,8 +305,8 @@ def cmd_quantities(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 
 def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     params = cfg.exponents()
-    kind = cfg.get("scale.kind")
-    alpha = None if cfg.get("scale.alpha") is None else cfg.real("scale.alpha")
+    kind = cfg.text("scale.kind")
+    alpha = cfg.optional("scale.alpha", cfg.real)
     if kind == "euler" and alpha is None:
         alpha = float(params.alpha)
     spec = sc.ScalingSpec(kind=kind, lam=cfg.real("scale.lam"), alpha=alpha)
@@ -319,11 +324,9 @@ def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 
 def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     m = cfg.real("liouville.m")
-    gamma = None if cfg.get("liouville.gamma") is None else cfg.real("liouville.gamma")
-    evidence = None
-    if bool(cfg.get("liouville.compact_support")):
-        # compact support makes every ladder-normalized mass decay
-        evidence = True
+    gamma = cfg.optional("liouville.gamma", cfg.real)
+    # compact support makes every ladder-normalized mass decay
+    evidence = True if cfg.flag("liouville.compact_support") else None
     verdict = asy.liouville_verdict(m, gamma, evidence)
     _emit(cfg, outdir, "liouville", fmt, ("verdict",), [[verdict.verdict]],
           verdict.to_json_dict())
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", type=Path, default=None,
                     help=f"output directory (default ${OUT_ENV} or cwd)")
     ap.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    ap.add_argument("--tolerance", type=float, default=None)
+    ap.add_argument("--tolerance", default=None, help="sets run.tolerance")
     return ap
 
 
@@ -407,20 +410,24 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         entries = {}
         if args.config is not None:
-            if not args.config.exists():
-                raise ConfigError(f"config file not found: {args.config}")
-            entries.update(parse_config_text(args.config.read_text()))
+            try:
+                text = args.config.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+            entries.update(parse_config_text(text))
         for item in args.overrides:
             if "=" not in item:
                 raise ConfigError(f"override must be key=value, got {item!r}")
             key, val = item.split("=", 1)
             entries[key.strip()] = val.strip()
-        cfg = RunConfig(entries, tolerance=args.tolerance)
+        if args.tolerance is not None:
+            entries["run.tolerance"] = args.tolerance
+        cfg = RunConfig(entries)
         outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, outdir, args.format)
-    except (CylscaleError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CylscaleError, OverflowError) as exc:  # float ** overflows with OverflowError
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -51,3 +51,7 @@ class GeometryError(CylscaleError, ValueError):
 
 class FileFormatError(CylscaleError, ValueError):
     """A data file does not follow the format its reader expects."""
+
+
+class NonFiniteResultError(CylscaleError, ValueError):
+    """A computed result is NaN or infinite, so no artifact can hold it."""

@@ -136,6 +136,8 @@ class PowerLawProfile(Profile):
             raise DomainError(f"alpha_p must lie in [0, 1], got {self.alpha_p}")
         if not 1 < self.gamma_p < math.inf:
             raise DomainError(f"gamma_p must exceed 1 and be finite, got {self.gamma_p}")
+        if not math.isfinite(self.pressure_coeff):
+            raise DomainError(f"pressure_coeff must be finite, got {self.pressure_coeff}")
 
     @property
     def radial_power(self) -> float:

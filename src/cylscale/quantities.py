@@ -52,7 +52,7 @@ def _separable_powers(profile: Profile, kind: str):
     if kind == "speed":
         return profile.coef, profile.radial_power, profile.time_power
     if kind == "pressure":
-        return (profile.pressure_coeff * profile.coef**2, 2 * profile.radial_power,
+        return (abs(profile.pressure_coeff) * profile.coef**2, 2 * profile.radial_power,
                 2 * profile.time_power)
     return None
 
@@ -224,6 +224,8 @@ def _mass_sup(field, r: float, cfg: QuadratureConfig, mu: float = 1.0,
         if times is None:
             times = centered_times(T, cfg.n_time)
         vals = [_ball_integral(field, ("speed", 2.0), r, t, cfg) for t in times]
+        if not vals:
+            raise ResolutionError(f"no time samples inside (-{T}, 0) at r={r}")
     return float(np.max(vals)), 1.0
 
 

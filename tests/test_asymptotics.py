@@ -45,6 +45,13 @@ class TestDeriveParams:
         with pytest.raises(DomainError):
             derive_iteration_params(0.55, -0.1)
 
+    @pytest.mark.parametrize("C_force", [-1.0, -1e-300, float("nan")])
+    def test_negative_forcing_constant_refused(self, C_force):
+        # C_force = -1 used to give negative bounds and "converges-to-zero"
+        with pytest.raises(DomainError, match="C_force"):
+            derive_iteration_params(0.55, 0.5, C_force=C_force)
+        assert derive_iteration_params(0.55, 0.5, C_force=0.0).C_force == 0.0
+
     def test_case_tags(self):
         assert IterationParams(theta=0.5, beta=1.0).case_tag == "2^beta*theta=1"
         assert IterationParams(theta=0.6, beta=1.0).case_tag == "2^beta*theta>1"

@@ -1,13 +1,20 @@
 """End-to-end tests of the batch front-end."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylscale.cli import (
+    DEFAULTS,
     EXIT_INVALID,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -367,3 +374,147 @@ def test_quadrature_ceilings_refused_before_allocating(tmp_path, capsys):
     assert run(tmp_path, "quantities", "quadrature.n_space=100000") == EXIT_INVALID
     assert "n_space" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, override", [
+    ("liouville", "liouville.compact_support=no"),
+    ("liouville", "liouville.compact_support=maybe"),
+    ("exponents", "exponents.s=1/0"),
+    ("quantities", "profile.cc=2"),
+])
+def test_config_typo_exits_invalid_naming_key(tmp_path, capsys, command, override):
+    # each once ran: "no"/"maybe" gave the verdict Trivial, 1/0 a
+    # ZeroDivisionError traceback, the misspelt key the default profile.c
+    assert run(tmp_path, command, override) == EXIT_INVALID
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_ladder_count_over_ceiling_refused_before_building(tmp_path, capsys):
+    from cylscale.cli import LADDER_COUNT_MAX, ConfigError, RunConfig
+
+    over = str(LADDER_COUNT_MAX + 1)
+    with pytest.raises(ConfigError, match="ladder.count"):
+        RunConfig({"ladder.count": over, "ladder.factor": "1.0000001"}).ladder()
+    assert run(tmp_path, "quantities", f"ladder.count={over}") == EXIT_INVALID
+    assert "ladder.count" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value, verdict", [("TRUE", "Trivial"), ("False", "Inconclusive")])
+def test_compact_support_flag_takes_either_case(tmp_path, value, verdict):
+    assert run(tmp_path, "liouville", f"liouville.compact_support={value}") == EXIT_OK
+    assert read_json(tmp_path, "liouville")["verdict"] == verdict
+
+
+def test_negative_forcing_constant_exits_invalid(tmp_path, capsys):
+    # iterate.C=-1 once wrote negative bounds and "converges-to-zero"
+    assert run(tmp_path, "iterate", "iterate.C=-1") == EXIT_INVALID
+    assert "C_force" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("quantities", "profile.kind=constant", "profile.c=1e308"),
+    ("liouville", "liouville.m=1e308"),
+    ("quantities", "profile.c=1e200"),
+    ("quantities", "profile.kind=shear", "profile.amplitude=1e200"),
+    ("scale-check", "scale.lam=1e200"),
+    ("quantities", "ladder.start=1e200"),
+    ("quantities", "exponents.l=1e200"),
+    ("iterate", "iterate.gamma=1e200"),
+], ids=" ".join)
+def test_non_finite_result_exits_invalid_writing_nothing(tmp_path, capsys, argv):
+    # the first two once wrote Infinity and NaN into JSON with exit 0, the
+    # others ended in an OverflowError traceback
+    assert run(tmp_path, *argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_radius_without_time_samples_exits_invalid(tmp_path, capsys):
+    # r = 5e-324 squares to 0, so no matched time sample lies in (-r^2, 0);
+    # np.max of the empty list once raised a bare ValueError
+    argv = ("scale-check", "scale.kind=euler", "ladder.start=5e-324")
+    assert run(tmp_path, *argv) == EXIT_INVALID
+    assert "no time samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_pressure_coeff_gives_the_positive_d(tmp_path):
+    # a negative coefficient once ended in "float() argument must be ... not 'complex'"
+    d = {}
+    for pc in ("1", "-1"):
+        assert run(tmp_path, "quantities", f"profile.pressure_coeff={pc}",
+                   "--format", "json") == EXIT_OK
+        d[pc] = [row["D"] for row in read_json(tmp_path, "quantities")["rows"]]
+    assert d["-1"] == d["1"] and all(v > 0 for v in d["1"])
+
+
+def test_emit_refuses_non_finite_values(tmp_path):
+    from cylscale import NonFiniteResultError
+    from cylscale.cli import RunConfig, _emit, write_json
+
+    for rows, payload in (([[float("nan")]], {}), ([[1.0]], {"x": [0.0, float("inf")]})):
+        with pytest.raises(NonFiniteResultError, match="stem"):
+            _emit(RunConfig({}), tmp_path, "stem", "both", ("x",), rows, payload)
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "x.json", {"x": float("nan")})
+
+
+def test_tolerance_flag_writes_the_config_entry(tmp_path, capsys):
+    assert run(tmp_path, "exponents", "--tolerance", "1/1000") == EXIT_OK
+    assert read_json(tmp_path, "exponents")["provenance"]["tolerance"] == 0.001
+    assert run(tmp_path, "exponents", "--tolerance", "abc") == EXIT_INVALID
+    assert "run.tolerance" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_invalid(tmp_path, capsys):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary, tmp_path / "missing.cfg"):
+        assert main(["exponents", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_INVALID
+        assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_defaults_lists_construct_delta(tmp_path, capsys):
+    assert run(tmp_path, "defaults") == EXIT_OK
+    assert "construct.delta = none" in capsys.readouterr().out.splitlines()
+
+
+def test_programming_errors_are_not_reported_as_validation(tmp_path, monkeypatch):
+    from cylscale import cli
+
+    def broken(*args):
+        raise TypeError("a bug")
+
+    monkeypatch.setitem(cli.COMMANDS, "exponents", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run(tmp_path, "exponents")
+
+
+#: hostile config text: non-finite, signed zero, a zero denominator, huge
+#: integers, fractions, words, the empty string and values near overflow
+HOSTILE = ["nan", "inf", "-inf", "-0", "1/0", "10**400", "1" + "0" * 400, "1/3",
+           "-7/2", "no", "maybe", "none", "", "1e200", "1e308", "-1", "0", "5e-324"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), st.sampled_from(HOSTILE),
+                       min_size=1, max_size=3))
+def test_hostile_config_ends_in_an_exit_code(overrides):
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["suite", *(f"{k}={v}" for k, v in overrides.items()), "--out", out]
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow
+            assert main(argv) in (EXIT_OK, EXIT_INVALID, EXIT_NUMERIC)
+        for path in Path(out).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -110,6 +110,11 @@ class TestPowerLawProfile:
         with pytest.raises(DomainError, match=next(iter(kwargs))):
             PowerLawProfile(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_non_finite_pressure_coeff(self, value):
+        with pytest.raises(DomainError, match="pressure_coeff"):
+            PowerLawProfile(pressure_coeff=value)
+
     def test_zero_coefficient_gives_zero_quantities(self):
         from cylscale import QuadratureConfig, derive, energy_quantities
 
