@@ -26,7 +26,6 @@ from .exponents import (
     ExponentParams,
     InterpolationSplit,
     ProfileConstruction,
-    SLPair,
     WeightedKappa,
     construct_profile_exponents,
     delta_interval,

@@ -1,7 +1,7 @@
 """Iteration-lemma engine, Liouville verdicts and growth-envelope diagnostics.
 
 The iteration lemma bounds F(R) by a contracting profile term plus a forcing
-term A(k, theta, R) with three closed-form branches; the Liouville verdicts
+term A(k, theta, R) in one closed form; the Liouville verdicts
 combine the exponent window with growth evidence collected on radius
 ladders.  Existential constants in sup-bounds are handled by log-log slope
 fitting with a fixed slack.
@@ -73,10 +73,10 @@ def derive_iteration_params(m: float, gamma: float,
     """
     if not 0.5 < m < 0.6:
         raise DomainError(f"m must lie in (1/2, 3/5), got {m}")
-    if gamma < 0:
-        raise DomainError(f"gamma must be nonnegative, got {gamma}")
-    if not C_force >= 0:
-        raise DomainError(f"C_force must be nonnegative, got {C_force}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be nonnegative and finite, got {gamma}")
+    if not 0 <= C_force < math.inf:
+        raise DomainError(f"C_force must be nonnegative and finite, got {C_force}")
     m1 = 2.0 * m - 1.0
     theta = 2.0 / (2.0 + m1)
     beta = 1.25 * (1.0 - 5.0 * m / 3.0)
@@ -88,18 +88,24 @@ def derive_iteration_params(m: float, gamma: float,
 
 
 def forcing_term(params: IterationParams, R: float, k: int) -> float:
-    """A(k, theta, R) = C * theta**(k-1) * R**-beta * sum_{i<k} (2**beta*theta)**-i."""
+    """A(k, theta, R) = C * theta**(k-1) * R**-beta * sum_{i<k} x**i, x = 1/(2**beta*theta);
+    A(0, theta, R) = C * R**-beta.
+
+    The sum is expm1(k L) / expm1(L) with L = ln x, which stays accurate as x
+    approaches 1 (and is k at x = 1).
+    """
     th, be, C = params.theta, params.beta, params.C_force
-    x = 1.0 / (2.0**be * th)
     if k <= 0:
         return C * R**-be
-    if abs(x - 1.0) <= 1e-14:
-        return C * th ** (k - 1) * R**-be * k
-    # theta^(k-1) * x^k = 2^(-beta*k) / theta keeps both powers bounded,
-    # so the geometric sum never overflows for large k
-    head = th ** (k - 1)
-    tail = 2.0 ** (-be * k) / th
-    return C * R**-be * (head - tail) / (1.0 - x)
+    L = math.log(1.0 / (2.0**be * th))
+    if L == 0.0:
+        return C * R**-be * th ** (k - 1) * k
+    if L > 0:
+        # theta^(k-1) * x^k = 2^(-beta*k) / theta: x^k alone overflows for large k
+        head = 2.0 ** (-be * k) / th * -math.expm1(-k * L)
+    else:
+        head = th ** (k - 1) * math.expm1(k * L)
+    return C * R**-be * head / math.expm1(L)
 
 
 @dataclass
@@ -119,22 +125,19 @@ class IterationTrace:
 def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTrace:
     """k-fold iteration of the one-step bound in closed form.
 
-    Entry k = 0 is the trivial pre-iteration bound C + C/R**beta; entries
-    k >= 1 follow the closed forms of the three forcing cases.  The verdict
-    is "converges-to-zero" exactly when the profile term contracts.
+    Entry k is rho**k * C + A(k, theta, R), rho the contraction; entry k = 0
+    is the trivial pre-iteration bound C + C/R**beta.  The verdict is
+    "converges-to-zero" exactly when the profile term contracts.
     """
-    if R < 1:
-        raise DomainError(f"need R >= 1, got {R}")
+    if not 1 <= R < math.inf:
+        raise DomainError(f"need finite R >= 1, got {R}")
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
     trace = IterationTrace(params=params, R=R, case_tag=params.case_tag)
     rho = params.contraction
     C = params.C_force
     for k in range(k_max + 1):
-        if k == 0:
-            p, a = C, C * R**-params.beta
-        else:
-            p, a = rho**k * C, forcing_term(params, R, k)
+        p, a = rho**k * C, forcing_term(params, R, k)
         trace.ks.append(k)
         trace.profile_terms.append(p)
         trace.forcing_terms.append(a)

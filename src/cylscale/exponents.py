@@ -36,21 +36,9 @@ def _exact(*values):
     return values
 
 
-@dataclass(frozen=True)
-class SLPair:
-    """A Lebesgue space/time exponent pair, both at least 1."""
-
-    s: Number
-    l: Number
-
-    def __post_init__(self):
-        if self.s < 1 or self.l < 1:
-            raise DomainError(f"require s >= 1 and l >= 1, got s={self.s}, l={self.l}")
-
-
 def _pair(s: Number, l: Number, *rest):
     """``_exact(s, l, *rest)`` once s >= 1 and l >= 1 is checked."""
-    if s < 1 or l < 1:
+    if not (1 <= s and 1 <= l):
         raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
     return _exact(s, l, *rest)
 
@@ -65,7 +53,8 @@ class ExponentParams:
     ``gamma_profile`` is the power attached to the candidate singular profile.
     """
 
-    sl: SLPair
+    s: Number
+    l: Number
     m0: Number
     kappa: Number
     q_interp: Number
@@ -83,14 +72,6 @@ class ExponentParams:
     scenario_ordered: bool
     #: lower bound forced on m0 by m >= 1/2; None when kappa <= 0
     m0_lower_bound: Optional[Number] = None
-
-    @property
-    def s(self) -> Number:
-        return self.sl.s
-
-    @property
-    def l(self) -> Number:
-        return self.sl.l
 
 
 def kappa(s: Number, l: Number) -> Number:
@@ -149,7 +130,8 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
         m0_bound = 2 * (6 / s + 5 / l - 3) / (5 * mid)
 
     return ExponentParams(
-        sl=SLPair(s, l),
+        s=s,
+        l=l,
         m0=m0,
         kappa=k,
         q_interp=q_interp(s, l),

@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
@@ -128,6 +128,7 @@ class PowerLawProfile(Profile):
     alpha_p: float = 0.5
     gamma_p: float = 1.1
     pressure_coeff: float = 1.0
+    separable = True
 
     def __post_init__(self):
         if not 0 <= self.c < math.inf:
@@ -146,10 +147,6 @@ class PowerLawProfile(Profile):
     @property
     def time_power(self) -> float:
         return -(1 - self.alpha_p) * self.gamma_p / 2
-
-    @property
-    def separable(self) -> bool:
-        return True
 
     @property
     def coef(self) -> float:
@@ -204,14 +201,7 @@ class ConstantProfile(Profile):
     """A constant velocity vector with zero pressure."""
 
     c3: tuple = (1.0, 0.0, 0.0)
-
-    @property
-    def separable(self) -> bool:
-        return True
-
-    @property
-    def steady(self) -> bool:
-        return True
+    separable = steady = True
 
     @property
     def coef(self) -> float:
@@ -237,10 +227,7 @@ class SteadyShearProfile(Profile):
 
     amplitude: float = 1.0
     wavenumber: float = 1.0
-
-    @property
-    def steady(self) -> bool:
-        return True
+    steady = True
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -371,7 +358,7 @@ class GridField:
     pressure: np.ndarray
     radial_power: float = 0.0
     time_power: float = 0.0
-    div_residual: float = dc_field(default=0.0)
+    div_residual: float = dc_field(init=False)
     times: np.ndarray = dc_field(init=False, repr=False)
     _ball_cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
@@ -386,7 +373,7 @@ class GridField:
         self.velocity.flags.writeable = False
         self.pressure.flags.writeable = False
         T = self.cylinder.time_depth
-        times = -T + T / self.n_time * (np.arange(self.n_time) + 0.5)
+        times = _cell_centres(-T, T, self.n_time)
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "div_residual", divergence_residual(self))
@@ -394,12 +381,16 @@ class GridField:
     @property
     def space_axis(self) -> np.ndarray:
         a = self.cylinder.space_radius
-        h = 2.0 * a / self.n_space
-        return -a + h * (np.arange(self.n_space) + 0.5)
+        return _cell_centres(-a, 2.0 * a, self.n_space)
 
     @property
     def cell_size(self) -> float:
         return 2.0 * self.cylinder.space_radius / self.n_space
+
+
+def _cell_centres(lo: float, width: float, n: int) -> np.ndarray:
+    """Centres of the n equal cells of [lo, lo + width]."""
+    return lo + width / n * (np.arange(n) + 0.5)
 
 
 def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> GridField:
@@ -411,13 +402,11 @@ def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> Gr
     if n_space < 2 or n_time < 2:
         raise ResolutionError(f"need n_space, n_time >= 2, got {n_space}, {n_time}")
     a = cyl.space_radius
-    h = 2.0 * a / n_space
-    axis = -a + h * (np.arange(n_space) + 0.5)
+    axis = _cell_centres(-a, 2.0 * a, n_space)
     xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([xx, yy, zz], axis=-1)
     T = cyl.time_depth
-    times = -T + (T / n_time) * (np.arange(n_time) + 0.5)
-    vel, prs = profile.slices(pts, times)
+    vel, prs = profile.slices(pts, _cell_centres(-T, T, n_time))
     if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(prs))):
         raise NonFiniteSampleError("profile evaluated non-finite inside the cylinder")
     return GridField(
@@ -514,11 +503,7 @@ def write_grid_csv(field: GridField, csv_path, sidecar_path=None) -> None:
                           in zip(prefix, velocity[j].tolist(), pressure[j].tolist()))
     if sidecar_path is not None:
         sidecar = {
-            "cylinder": {
-                "radius": field.cylinder.radius,
-                "lam": field.cylinder.lam,
-                "mu": field.cylinder.mu,
-            },
+            "cylinder": asdict(field.cylinder),
             "n_space": field.n_space,
             "n_time": field.n_time,
             "radial_power": field.radial_power,

@@ -9,6 +9,7 @@ scaling identities survive discretization to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -47,7 +48,7 @@ from .quadrature import (
 
 def _separable_powers(profile: Profile, kind: str):
     """(coef, radial_power, time_power) of |v| or |q|, or None."""
-    if not getattr(profile, "separable", False):
+    if not profile.separable:
         return None
     if kind == "speed":
         return profile.coef, profile.radial_power, profile.time_power
@@ -192,9 +193,11 @@ def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
     return table[:, k] * field.cell_size**3
 
 
-def _check_radius(field, r: float):
-    if r <= 0:
-        raise RadiusError(f"radius must be positive, got {r}")
+def _check_radius(field, r: float, mu: float = 1.0):
+    if not 0 < r < math.inf:
+        raise RadiusError(f"radius must be positive and finite, got {r}")
+    if not 0 < mu < math.inf:
+        raise DomainError(f"mu must be positive and finite, got {mu}")
     if isinstance(field, GridField) and r > field.cylinder.space_radius * (1 + 1e-12):
         raise RadiusError(f"radius {r} exceeds the field cylinder "
                           f"{field.cylinder.space_radius}")
@@ -249,7 +252,7 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     sep = _separable_powers(field, "pressure" if key[0] == "pressure" else "speed")
     power = l if l is not None else key[1] if len(key) > 1 else 2
     e = None if sep is None else sep[2] * power
-    return _time_integrate(G, e, T, cfg, getattr(field, "steady", False)), 1.0
+    return _time_integrate(G, e, T, cfg, field.steady), 1.0
 
 
 def sup_weighted_mass(field, r: float, weight: float,
@@ -260,7 +263,9 @@ def sup_weighted_mass(field, r: float, weight: float,
     The sup over t is taken over the supplied (or cell-centered) samples,
     never interpolated.
     """
-    _check_radius(field, r)
+    _check_radius(field, r, mu)
+    if times is not None and not all(-mu * r**2 < t < 0 for t in times):
+        raise DomainError(f"times must lie in (-mu r^2, 0) = ({-mu * r**2}, 0), got {times}")
     return _weighted(r, weight, _mass_sup(field, r, cfg, mu, times))
 
 
@@ -271,7 +276,7 @@ def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
     "pressure"."""
     if kind not in ("speed", "pressure"):
         raise DomainError(f"kind must be 'speed' or 'pressure', got {kind!r}")
-    _check_radius(field, r)
+    _check_radius(field, r, mu)
     return _weighted(r, weight, _cylinder_integral(field, (kind, p), r, cfg, mu))
 
 
@@ -279,7 +284,7 @@ def cylinder_gradsq_integral(field, r: float, weight: float,
                              cfg: QuadratureConfig = DEFAULT_CONFIG,
                              mu: float = 1.0) -> float:
     """r**(-weight) * int over Q^{1,mu}(r) of |grad v|^2."""
-    _check_radius(field, r)
+    _check_radius(field, r, mu)
     return _weighted(r, weight, _cylinder_integral(field, ("gradsq",), r, cfg, mu))
 
 
@@ -290,7 +295,7 @@ def m_quantity(field, R: float, s: float, l: float, m0: float,
     M = R**(-kappa) * int_{-mu R^2}^0 (int_{B(R)} |v|^s dx)**(l/s) dt and
     M_att = R**((1-m0) kappa) * M.
     """
-    _check_radius(field, R)
+    _check_radius(field, R, mu)
     k = kappa(s, l)
     M = _weighted(R, k, _cylinder_integral(field, ("speed", s), R, cfg, mu, l))
     return M, R ** ((1.0 - m0) * k) * M
@@ -349,11 +354,11 @@ class QuantityRow:
 @dataclass
 class QuantityReport:
     rows: list = dc_field(default_factory=list)
-    type1_sup: float = 0.0
 
-    def append(self, row: QuantityRow):
-        self.rows.append(row)
-        self.type1_sup = max(self.type1_sup, row.A, row.E, row.C)
+    @property
+    def type1_sup(self) -> float:
+        """The largest A, E or C over the rows; 0.0 without rows."""
+        return max((max(row.A, row.E, row.C) for row in self.rows), default=0.0)
 
     CSV_COLUMNS = (
         "r", "A", "E", "C", "D", "H", "A_m1", "E_m", "D_m", "C_mt",
@@ -373,7 +378,7 @@ def energy_quantities(field, r: float, params: ExponentParams,
     A, E, C, D and H are each integrated once; the two weights of each are
     powers of r applied afterwards.
     """
-    _check_radius(field, r)
+    _check_radius(field, r, mu)
     m = float(params.m)
     m1 = float(params.m1)
     A = _mass_sup(field, r, cfg, mu)
@@ -395,10 +400,7 @@ def energy_quantities(field, r: float, params: ExponentParams,
 def quantity_report(field, radii: Sequence[float], params: ExponentParams,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuantityReport:
     """Evaluate the full quantity set over a radius ladder."""
-    report = QuantityReport()
-    for r in sorted(radii):
-        report.append(energy_quantities(field, r, params, cfg))
-    return report
+    return QuantityReport([energy_quantities(field, r, params, cfg) for r in sorted(radii)])
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +639,7 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
         raise DomainError("similarity variants need a SelfSimilarProfile")
     tlo, thi = testfn.time_window
     if physical:
-        if thi >= 0 and (profile.singular_at_time_zero or not getattr(profile, "steady", False)):
+        if thi >= 0 and (profile.singular_at_time_zero or not profile.steady):
             raise SupportError("test function support reaches t >= 0")
         if tau0 >= 0:
             raise SupportError("tau0 must be negative for physical-time variants")

@@ -8,6 +8,7 @@ the same family, and closed-form profiles rescale to closed-form profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,10 +52,10 @@ class ScalingSpec:
     def __post_init__(self):
         if self.kind not in ("navier-stokes", "euler"):
             raise DomainError(f"unknown scaling kind {self.kind!r}")
-        if self.lam <= 0:
-            raise DomainError("lam must be positive")
-        if self.kind == "euler" and self.alpha is None:
-            raise DomainError("euler scaling needs alpha")
+        if not 0 < self.lam < math.inf:
+            raise DomainError(f"lam must be positive and finite, got {self.lam}")
+        if self.kind == "euler" and not (self.alpha is not None and math.isfinite(self.alpha)):
+            raise DomainError(f"euler scaling needs a finite alpha, got {self.alpha}")
 
     @property
     def exponent(self) -> float:
@@ -75,7 +76,7 @@ class RescaledProfile(Profile):
         self.alpha = alpha
         self.radial_power = base.radial_power
         self.time_power = base.time_power
-        self.steady = getattr(base, "steady", False)
+        self.steady = base.steady
 
     def velocity(self, x, t):
         la = self.lam
@@ -141,8 +142,8 @@ def lambda_for_rk(r_k: float, alpha: float) -> float:
     """Zoom factor with lam**((alpha+1)/2) = r_k."""
     if not 0 < r_k < 1:
         raise DomainError(f"need 0 < r_k < 1, got {r_k}")
-    if alpha < 1:
-        raise DomainError(f"need alpha >= 1, got {alpha}")
+    if not 1 <= alpha < math.inf:
+        raise DomainError(f"need finite alpha >= 1, got {alpha}")
     lam = r_k ** (2.0 / (alpha + 1.0))
     if abs(lam ** ((alpha + 1.0) / 2.0) - r_k) > ROOT_TOL:
         raise ArithmeticError("round-trip check of the zoom factor failed")
@@ -217,38 +218,32 @@ def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
         t_ref = centered_times((la * a) ** 2, cfg.n_time)
         tau = t_ref / la ** (al + 1.0)
         tau = tau[tau > -(a**2)]
-        lhs = sup_weighted_mass(scaled, a, m1, cfg, times=tau)
-        rhs = sup_weighted_mass(profile, la * a, m1, cfg, times=t_ref)
-        rows.append(_one_sided("A_m1", a, lhs, rhs, tolerance))
-
-        lhs = cylinder_gradsq_integral(scaled, a, m, cfg)
-        rhs = cylinder_gradsq_integral(profile, la * a, m, cfg)
-        rows.append(_one_sided("E_m", a, lhs, rhs, tolerance))
-
-        lhs = cylinder_power_integral(scaled, "pressure", 1.5, a, 2 * m, cfg)
-        rhs = cylinder_power_integral(profile, "pressure", 1.5, la * a, 2 * m, cfg)
-        rows.append(_one_sided("D_m", a, lhs, rhs, tolerance))
+        transfers = (
+            ("A_m1", sup_weighted_mass(scaled, a, m1, cfg, times=tau),
+             sup_weighted_mass(profile, la * a, m1, cfg, times=t_ref)),
+            ("E_m", cylinder_gradsq_integral(scaled, a, m, cfg),
+             cylinder_gradsq_integral(profile, la * a, m, cfg)),
+            ("D_m", cylinder_power_integral(scaled, "pressure", 1.5, a, 2 * m, cfg),
+             cylinder_power_integral(profile, "pressure", 1.5, la * a, 2 * m, cfg)),
+        )
+        for name, lhs, rhs in transfers:
+            rows.append(_one_sided(f"{name}(v^zoom,a)<={name}(v,lam*a)", a, lhs, rhs,
+                                   rhs - lhs, tolerance))
 
     # mixed-norm zoom lower bound at the matched radius
     r_match = la ** ((al + 1.0) / 2.0)
     lhs = m_quantity(scaled, 1.0, s, l, m0, cfg)[1]
     rhs = m_quantity(profile, r_match, s, l, m0, cfg)[1]
-    slack = lhs - rhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    rows.append(InvarianceRow(
-        relation="M_att(v^zoom,1)>=M_att(v,r_k)", a=1.0, lhs=lhs, rhs=rhs,
-        slack=slack, tolerance=tolerance,
-        passed=slack >= -tolerance * scale,
-    ))
+    rows.append(_one_sided("M_att(v^zoom,1)>=M_att(v,r_k)", 1.0, lhs, rhs, lhs - rhs,
+                           tolerance))
     return rows
 
 
-def _one_sided(name: str, a: float, lhs: float, rhs: float,
+def _one_sided(relation: str, a: float, lhs: float, rhs: float, slack: float,
                tolerance: float) -> InvarianceRow:
-    slack = rhs - lhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     return InvarianceRow(
-        relation=f"{name}(v^zoom,a)<={name}(v,lam*a)", a=a, lhs=lhs, rhs=rhs,
-        slack=slack, tolerance=tolerance, passed=slack >= -tolerance * scale,
+        relation=relation, a=a, lhs=lhs, rhs=rhs, slack=slack, tolerance=tolerance,
+        passed=slack >= -tolerance * scale,
     )
 

@@ -272,9 +272,9 @@ SUITE_SHA256 = {
     "exponents.json":
         "15b328d994745dd1e07a8ed60fea9172818a05eaefd0c788ffa638a66f812555",
     "iterate.csv":
-        "4bb291eae9bb8153547d37489d480f0481b2557a66cbc94fcf0bb6fb03567cf4",
+        "8f65646e39e720218912386c225f7b6b881e52742f6fdc12072b6993005b9045",
     "iterate.json":
-        "c161bf63856c23483db1a1e0e23d1c08e9c4311ba9bd93a378ac60f64ad4d76f",
+        "51ece8f0b7d0c0690ba005c62c5a34895a90bc9497b4160f12cd1ea50a5743a0",
     "liouville.csv":
         "ed3b84da8001f94437c7a0564a2286c61f51c36e6dca3db9efa60246bf05834a",
     "liouville.json":

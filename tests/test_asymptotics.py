@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cylscale import (
     DiscreteSelfSimilarProfile,
@@ -80,6 +80,8 @@ class TestIterateBound:
         st.floats(0.001, 0.199),
     )
     @settings(max_examples=100, deadline=None)
+    # 2^beta*theta - 1 = -6.9e-6: the old closed form was 1.1e-11 off here
+    @example(theta=0.5, beta=0.99999, C=1.0, R=1.0, gamma=0.0, m1=0.001)
     def test_branches_match_direct_summation(self, theta, beta, C, R, gamma, m1):
         """All three closed forms agree with brute-force geometric sums."""
         p = IterationParams(theta=theta, beta=beta, C_force=C, gamma=gamma, m1=m1)

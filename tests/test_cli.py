@@ -414,6 +414,18 @@ def test_negative_forcing_constant_exits_invalid(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_iterate_forcing_near_the_critical_case(tmp_path):
+    # 2^beta*theta - 1 = 1.5e-13: the closed form (head - tail) / (1 - x)
+    # cancelled there and wrote A(1) = 0.94429 for C R^-beta = 0.94359
+    assert run(tmp_path, "iterate", "iterate.m=0.559787797679",
+               "iterate.gamma=0.1") == EXIT_OK
+    rec = read_json(tmp_path, "iterate")
+    assert rec["case_tag"] == "2^beta*theta>1"
+    k, _, forcing, _ = read_csv(tmp_path, "iterate")[2]
+    want = 1.0 * 2.0 ** -rec["beta"]  # C R^-beta at the defaults C = 1, R = 2
+    assert k == "1" and abs(float(forcing) - want) <= 1e-14 * want
+
+
 @pytest.mark.parametrize("argv", [
     ("quantities", "profile.kind=constant", "profile.c=1e308"),
     ("liouville", "liouville.m=1e308"),

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import warnings
 
@@ -20,11 +21,15 @@ from cylscale import (
     PowerLawProfile,
     ResolutionError,
     SampledProfile,
+    ScalingSpec,
     SelfSimilarProfile,
     SingularPointError,
     SteadyShearProfile,
     azimuthal_unit,
+    derive,
     evaluate,
+    invariance_report,
+    quantity_report,
     read_grid_csv,
     sample,
     steady_to_discrete,
@@ -397,6 +402,30 @@ class TestSampleBytes:
             p.slices(x, np.array([-1.0, 0.0]))
         with pytest.raises(SingularPointError):
             p.slices(np.zeros((1, 3)), np.array([-1.0]))
+
+    #: SHA-256 of a sampled power-law field's CSV and sidecar and of the reprs
+    #: of its quantity-report and viscous invariance rows
+    GRID_SHA256 = {
+        "field.csv": "77754184c385b63820e5e8453f6303dabc75e8fad0b14c17fb178b252eafb1ad",
+        "field.json": "b24bd828d54a5f8c12d20f443180eee431a73d165dfef2698f9c3cdd90f1f601",
+        "report": "9ac07ccae933cb98128a1f3c6843540b83a20270d2749d6c245bfd56a85e605d",
+        "invariance": "dbf2ed3cd030f9f49a639c7f9dbb8827a942dce5cf7ba669facfb80e25568c45",
+    }
+
+    def test_grid_bytes_pinned(self, tmp_path):
+        f = sample(PowerLawProfile(), CylinderSpec(1.0, mu=1.3), 6, 3)
+        write_grid_csv(f, tmp_path / "field.csv", tmp_path / "field.json")
+        params = derive(2.8, 2.8, 0.9)
+        report = quantity_report(f, [0.5, 0.75, 1.0], params)
+        rows = invariance_report(f, ScalingSpec("navier-stokes", 0.5), params,
+                                 [1.0, 1.5, 2.0])
+        got = {
+            "field.csv": (tmp_path / "field.csv").read_bytes(),
+            "field.json": (tmp_path / "field.json").read_bytes(),
+            "report": repr(report.rows).encode(),
+            "invariance": repr(rows).encode(),
+        }
+        assert {k: hashlib.sha256(v).hexdigest() for k, v in got.items()} == self.GRID_SHA256
 
 
 class TestGridCsvErrors:
