@@ -183,6 +183,8 @@ def growth_envelope(u: Callable, exponent: float,
     of sup-boundedness on the ladder.
     """
     ladder = [float(b) for b in ladder]
+    if not all(0 < b < math.inf for b in ladder):
+        raise DomainError(f"ladder values must be positive and finite, got {ladder}")
     if any(b2 <= b1 for b1, b2 in zip(ladder, ladder[1:])):
         raise DomainError("ladder must be strictly increasing")
     masses = []
@@ -339,6 +341,8 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
     alpha = profile.alpha
     m1 = 2.0 * m - 1.0
     ladder = [float(R) for R in ladder]
+    if not ladder or not n_tau >= 1:
+        raise DomainError(f"need a non-empty ladder and n_tau >= 1, got {ladder}, {n_tau}")
     r_min = math.exp(2.0 * S0 / (1.0 + alpha))
     if min(ladder) <= r_min:
         raise DomainError(

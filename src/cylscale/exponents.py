@@ -193,6 +193,9 @@ class ProfileConstruction:
 
 def delta_interval(m0: Number, alpha_profile: Number):
     """Admissible open interval for delta in the interior construction."""
+    if not (0 < m0 < 1 and 0 < alpha_profile < 1):
+        raise DomainError("interior branch needs 0 < m0 < 1 and 0 < alpha_profile < 1, "
+                          f"got m0={m0}, alpha_profile={alpha_profile}")
     m0, a = _exact(m0, alpha_profile)
     width = 2 - m0
     return max(6 / (3 + a), 4 / (3 - a)) / width, 2 / width
@@ -233,12 +236,8 @@ def construct_profile_exponents(
         # s = 15/(7(1 - d1)), l = 10/(3(1 + d2))
         return _finish_construction(m0, a, None, None, 7 * (1 - d1) / 15,
                                     3 * (1 + d2) / 10, branch="alpha1")
-    if not 0 < a < 1:
-        raise DomainError(
-            f"interior branch needs 0 < alpha_profile < 1, got {alpha_profile}"
-        )
 
-    lo, hi = delta_interval(m0, a)
+    lo, hi = delta_interval(m0, a)  # which refuses alpha outside (0, 1)
     if not lo < hi:
         raise InfeasibleDeltaError(
             f"empty delta interval ({lo}, {hi}) for m0={m0}, alpha={alpha_profile}"

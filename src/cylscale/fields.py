@@ -55,6 +55,16 @@ def _norm3(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products over a last axis of 3, summed as np.einsum("...i,...i->...")
+    sums C-ordered rows: (a1 b1 + a3 b3) + a2 b2, then the +0 einsum starts from."""
+    out = a[..., 0] * b[..., 0]
+    out += a[..., 2] * b[..., 2]
+    out += a[..., 1] * b[..., 1]
+    out += 0.0
+    return out
+
+
 def azimuthal_unit(x: np.ndarray) -> np.ndarray:
     """Unit field tangent to circles about the x3-axis; divergence-free."""
     sigma = np.sqrt(x[..., 0] ** 2 + x[..., 1] ** 2)
@@ -153,14 +163,16 @@ class PowerLawProfile(Profile):
         return self.c
 
     def _speed_pass(self, x, t):
-        """(speed, sigma^2) from one pass over x, sigma the distance to the x3-axis."""
+        """(speed, sigma^2, [x1^2, x2^2, x3^2]) from one pass over x, sigma the
+        distance to the x3-axis."""
         _check_time(t)
         x = np.asarray(x, dtype=float)
-        sigma_sq = x[..., 0] ** 2 + x[..., 1] ** 2
-        rho = np.sqrt(sigma_sq + x[..., 2] ** 2)  # summed as _norm3 sums it
+        squares = [x[..., j] ** 2 for j in range(3)]
+        sigma_sq = squares[0] + squares[1]
+        rho = np.sqrt(sigma_sq + squares[2])  # summed as _norm3 sums it
         if self.radial_power < 0 and np.any(rho == 0):
             raise SingularPointError("power-law profile singular at x = 0")
-        return self.c * rho**self.radial_power * (-t) ** self.time_power, sigma_sq
+        return self.c * rho**self.radial_power * (-t) ** self.time_power, sigma_sq, squares
 
     def speed(self, x, t):
         return self._speed_pass(x, t)[0]
@@ -187,13 +199,17 @@ class PowerLawProfile(Profile):
         return self.pressure_coeff * self.speed(x, t) ** 2
 
     def grad_norm_sq(self, x, t):
-        x = np.asarray(x, dtype=float)
-        g, sigma_sq = self._speed_pass(x, t)
-        # einsum sums rho^2 in its own order, not _norm3's: keep its bits
-        rho_sq = np.einsum("...i,...i->...", x, x)
+        g, sigma_sq, (x1_sq, x2_sq, x3_sq) = self._speed_pass(x, t)
         if np.any(sigma_sq == 0):
             raise SingularPointError("gradient undefined on the x3-axis")
-        return g**2 * (self.radial_power**2 / rho_sq + 1.0 / sigma_sq)
+        # g^2 * (p^2/rho^2 + 1/sigma^2) in place, with rho^2 summed as _dot3 sums it
+        x1_sq += x3_sq
+        x1_sq += x2_sq
+        tail = self.radial_power**2 / x1_sq
+        tail += 1.0 / sigma_sq
+        g **= 2
+        g *= tail
+        return g
 
 
 @dataclass(frozen=True)
@@ -423,7 +439,7 @@ def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> Gr
 def divergence_residual(obj) -> float:
     """Max-norm centered-difference divergence over interior nodes."""
     if not isinstance(obj, GridField):
-        raise TypeError("divergence_residual expects a GridField")
+        raise DomainError(f"divergence_residual expects a GridField, got {type(obj).__name__}")
     h = obj.cell_size
     u = obj.velocity
     div = (

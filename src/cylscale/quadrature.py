@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError
+from .fields import _dot3
 
 FOUR_PI = 4.0 * np.pi
 _GL2 = 1.0 / np.sqrt(3.0)  # two-point Gauss nodes at +- 1/sqrt(3)
@@ -143,7 +144,7 @@ def _unit_ball_grid(n: int):
     axis = -1.0 + h * (np.arange(n) + 0.5)
     xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=-1)
-    mask = np.einsum("ij,ij->i", pts, pts) < 1.0
+    mask = _dot3(pts, pts) < 1.0
     return pts[mask].copy()
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SupportError,
 )
 from .exponents import ExponentParams, kappa
-from .fields import GridField, Profile, SelfSimilarProfile
+from .fields import GridField, Profile, SelfSimilarProfile, _dot3
 from .quadrature import (
     DEFAULT_CONFIG,
     FOUR_PI,
@@ -100,14 +100,24 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
     return float(np.sum(cells[kind] ** key[1])) * w
 
 
+#: points per velocity call of _gradsq_fd, which holds six shifted copies: a standard-ns
+#: residual on 64^3 points peaked at 254 MB in one call, 114 MB per shift, 104 MB in blocks
+_FD_BLOCK = 1 << 15
+
+
 def _gradsq_fd(profile: Profile, pts: np.ndarray, t: float, h: float) -> np.ndarray:
-    g = np.zeros(pts.shape[:-1])
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = h
-        dv = (profile.velocity(pts + step, t) - profile.velocity(pts - step, t)) / (2 * h)
-        g += np.einsum("...i,...i->...", dv, dv)
-    return g
+    """|grad v|^2 by central differences of step h: one velocity call for the six
+    shifts of each block of points."""
+    flat, steps = pts.reshape(-1, 3), h * np.eye(3)[:, None, :]
+    g = np.zeros(len(flat))
+    for lo in range(0, len(flat), _FD_BLOCK):
+        block = flat[lo:lo + _FD_BLOCK]
+        # block - steps keeps a -0.0 coordinate, where adding a +0.0 offset would not
+        shifted = np.concatenate([block + steps, block - steps])
+        v = profile.velocity(shifted.reshape(-1, 3), t).reshape(shifted.shape)
+        for dv in (v[:3] - v[3:]) / (2 * h):
+            g[lo:lo + _FD_BLOCK] += _dot3(dv, dv)
+    return g.reshape(pts.shape[:-1])
 
 
 def _time_integrate(Gfun, time_exponent: Optional[float], T: float,
@@ -166,8 +176,7 @@ def _grid_cell_moment(field: GridField, key) -> np.ndarray:
         return g
     kind, p = key
     v = field.velocity
-    cells = (np.sqrt(np.einsum("...i,...i->...", v, v)) if kind == "speed"
-             else np.abs(field.pressure))
+    cells = np.sqrt(_dot3(v, v)) if kind == "speed" else np.abs(field.pressure)
     cells **= p  # in place: the same power as cells ** p, one array fewer
     return cells
 
@@ -516,7 +525,7 @@ class GaussianBump(_SpaceTimeProduct):
         """Value, gradient and Laplacian of the spatial factor (which carries
         the amplitude) at points y of shape (..., 3)."""
         d = np.asarray(y, dtype=float) - np.asarray(self.center)
-        d2 = np.einsum("...i,...i->...", d, d)
+        d2 = _dot3(d, d)
         S = self.amplitude * np.exp(-d2 / (2 * self.sigma**2))
         grad = S[..., None] * (-d / self.sigma**2)
         lap = S * (d2 / self.sigma**4 - 3.0 / self.sigma**2)
@@ -585,8 +594,8 @@ def _flow_moments(profile, pts, t, wS, wgradS, wlapS, viscous: bool):
     """
     v = profile.velocity(pts, t)
     p = profile.pressure(pts, t)
-    v2 = np.einsum("...i,...i->...", v, v)
-    flux = np.einsum("...i,...i->...", v, wgradS) @ (v2 + 2.0 * p)
+    v2 = _dot3(v, v)
+    flux = _dot3(v, wgradS) @ (v2 + 2.0 * p)
     heat = dissipation = 0.0
     if viscous:
         heat = v2 @ wlapS
@@ -682,10 +691,10 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
         if profile.P is None
         else np.asarray(profile.P(pts), dtype=float)
     )
-    U2 = np.einsum("...i,...i->...", U, U)
+    U2 = _dot3(U, U)
     mass = float(U2 @ wS)
-    drift = float(U2 @ np.einsum("...i,...i->...", pts, wgradS)) / (1.0 + alpha)
-    flux = float(np.einsum("...i,...i->...", U, wgradS) @ (U2 + 2.0 * P))
+    drift = float(U2 @ _dot3(pts, wgradS)) / (1.0 + alpha)
+    flux = float(_dot3(U, wgradS) @ (U2 + 2.0 * P))
     # the rhs integrand is weight * (t_coef * T + mass * dT); in the plain
     # form the zeroth-order term rate * phi joins the drift and flux
     if variant == "selfsimilar":

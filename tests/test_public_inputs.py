@@ -7,17 +7,24 @@ import pytest
 
 from cylscale import (
     CylscaleError,
+    DomainError,
     IterationParams,
     PowerLawProfile,
     ScalingSpec,
+    SelfSimilarProfile,
     cylinder_gradsq_integral,
     cylinder_power_integral,
+    delta_interval,
     derive,
     derive_iteration_params,
+    divergence_residual,
+    dss_slab_bounds,
     energy_quantities,
+    growth_envelope,
     iterate_bound,
     lambda_for_rk,
     m_quantity,
+    steady_to_discrete,
     sup_weighted_mass,
 )
 
@@ -53,3 +60,39 @@ CASES = {
 def test_bad_input_raises_typed_error(call):
     with pytest.raises(CylscaleError):
         call()
+
+
+def _never(*args):
+    raise AssertionError("evaluated before the inputs were checked")
+
+
+@pytest.mark.parametrize("ladder", [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [1.0, 2.0, INF],
+                                    [NAN, 1.0, 2.0]])
+@pytest.mark.parametrize("radial", [False, True])
+def test_growth_envelope_ladder_values(ladder, radial, capfd):
+    """0 raised a bare ZeroDivisionError, a negative value a LinAlgError with
+    LAPACK text on stderr; both are now refused before any evaluation."""
+    with pytest.raises(DomainError, match="positive and finite"):
+        growth_envelope(_never, 0.0, ladder, radial=radial)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("ladder, n_tau", [([4.0, 8.0], 0), ([4.0, 8.0], -2), ([], 4)])
+def test_dss_slab_bounds_counts(ladder, n_tau):
+    """n_tau=0 raised ZeroDivisionError and an empty ladder a ValueError from min()."""
+    dss = steady_to_discrete(SelfSimilarProfile(alpha=1.5, U=_never), 0.4)
+    with pytest.raises(DomainError):
+        dss_slab_bounds(dss, ladder, n_tau=n_tau)
+
+
+@pytest.mark.parametrize("m0, alpha", [(0.9, 3), (0.9, 0), (0.9, 1), (0.9, NAN), (2, 0.5)])
+def test_delta_interval_range(m0, alpha):
+    """delta_interval(0.9, 3) raised ZeroDivisionError from 4 / (3 - alpha)."""
+    with pytest.raises(DomainError, match="0 < alpha_profile < 1"):
+        delta_interval(m0, alpha)
+
+
+@pytest.mark.parametrize("obj", [1, None, PowerLawProfile()])
+def test_divergence_residual_needs_a_grid(obj):
+    with pytest.raises(CylscaleError, match="GridField"):
+        divergence_residual(obj)
