@@ -15,8 +15,11 @@ import json
 import math
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import asymptotics as asy
 from . import exponents as ex
@@ -225,10 +228,18 @@ def _cell(v):
 
 
 def _finite(v) -> bool:
-    """False when v, or a value nested in it, is a float NaN or infinity."""
-    if isinstance(v, (dict, list, tuple)):
-        return all(map(_finite, v.values() if isinstance(v, dict) else v))
-    return not isinstance(v, float) or math.isfinite(v)
+    """False when v, or a value nested in its dicts, lists and tuples, is a
+    float NaN or infinity."""
+    floats, stack = [], [v]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, float):
+            floats.append(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+    return all(map(math.isfinite, floats))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -354,14 +365,20 @@ def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 
 
 def cmd_suite(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    codes = [
-        cmd_exponents(cfg, outdir, fmt),
-        cmd_construct(cfg, outdir, fmt),
-        cmd_quantities(cfg, outdir, fmt),
-        cmd_scale_check(cfg, outdir, fmt),
-        cmd_liouville(cfg, outdir, fmt),
-        cmd_iterate(cfg, outdir, fmt),
-    ]
+    # all or nothing: the artifacts move into outdir only once every command
+    # has returned, and a raising one leaves outdir as it was
+    with tempfile.TemporaryDirectory(prefix=".suite-", dir=outdir) as staging:
+        staging = Path(staging)
+        codes = [
+            cmd_exponents(cfg, staging, fmt),
+            cmd_construct(cfg, staging, fmt),
+            cmd_quantities(cfg, staging, fmt),
+            cmd_scale_check(cfg, staging, fmt),
+            cmd_liouville(cfg, staging, fmt),
+            cmd_iterate(cfg, staging, fmt),
+        ]
+        for path in sorted(staging.iterdir()):
+            os.replace(path, outdir / path.name)
     return max(codes)
 
 
@@ -425,7 +442,8 @@ def main(argv=None) -> int:
         cfg = RunConfig(entries)
         outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, outdir, args.format)
+        with np.errstate(all="ignore"):  # an overflow ends in one error line, below
+            return COMMANDS[args.command](cfg, outdir, args.format)
     except (CylscaleError, OverflowError) as exc:  # float ** overflows with OverflowError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID

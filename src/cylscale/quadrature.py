@@ -27,7 +27,9 @@ _GL2 = 1.0 / np.sqrt(3.0)  # two-point Gauss nodes at +- 1/sqrt(3)
 
 #: ceilings on the counts, checked before anything is allocated.  n_space:
 #: peak RSS of a local-energy residual, the largest n_space**3 user, was 85 MB
-#: at 64 and 433 MB at 128 (about 35 MB plus 200 bytes a cell), so 1.4 GB at 192
+#: at 64 and 433 MB at 128 on a power law (35 MB plus 200 bytes a cell), and
+#: 107 and 433 MB for standard-ns on a SelfSimilarProfile, whose blocked
+#: finite-difference |grad v|^2 adds a fixed cost, so about 1.4 GB at 192
 N_SPACE_MAX = 192
 #: max(n_time, n_space) Gauss-Legendre nodes solve an eigenproblem of that
 #: order: 92 MB peak at 2048, so about 0.3 GB at 4096

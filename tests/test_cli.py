@@ -250,6 +250,22 @@ class TestSuite:
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_failing_suite_leaves_an_earlier_run_as_it_was(self, tmp_path):
+        # exponents and construct return before quantities raises; their
+        # artifacts once replaced the earlier run's
+        assert run(tmp_path, "suite") == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(tmp_path, "suite", "exponents.l=1e200") == EXIT_INVALID
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_suite_with_an_unmet_tolerance_writes_every_artifact(self, tmp_path):
+        assert run(tmp_path, "suite", "--tolerance", "1e-300") == EXIT_NUMERIC
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{stem}.{ext}" for ext in ("csv", "json") for stem in (
+                "exponents", "construct", "quantities", "scale_check", "liouville",
+                "iterate"))
+        assert read_json(tmp_path, "scale_check")["all_pass"] is False
+
     def test_out_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_ENV, str(tmp_path / "envout"))
         assert main(["exponents"]) == EXIT_OK
@@ -445,6 +461,19 @@ def test_non_finite_result_exits_invalid_writing_nothing(tmp_path, capsys, argv)
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("quantities", "profile.kind=shear", "profile.amplitude=1e200"),
+    ("quantities", "profile.kind=constant", "profile.c=1e308"),
+], ids=" ".join)
+def test_overflow_prints_only_its_error_line(tmp_path, argv):
+    # numpy's overflow RuntimeWarnings once reached stderr ahead of the error
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        assert run(tmp_path, *argv) == EXIT_INVALID
+    assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+
+
 def test_radius_without_time_samples_exits_invalid(tmp_path, capsys):
     # r = 5e-324 squares to 0, so no matched time sample lies in (-r^2, 0);
     # np.max of the empty list once raised a bare ValueError
@@ -474,6 +503,22 @@ def test_emit_refuses_non_finite_values(tmp_path):
     assert not list(tmp_path.iterdir())
     with pytest.raises(ValueError):
         write_json(tmp_path / "x.json", {"x": float("nan")})
+
+
+@pytest.mark.parametrize("value, finite", [
+    ([[1, True, None, "inf", 2.5]], True),
+    ({"rows": [{"a": (1.0, [np.float64(3.0)])}]}, True),
+    ({"rows": [{"a": (1.0, [np.float64("nan")])}]}, False),
+    ([(0, {"x": {"y": [float("-inf")]}})], False),
+    ([[float("nan"), "x"], {}], False),
+    (float("inf"), False),
+    ([], True),
+], ids=["no-floats", "nested", "nested-np-nan", "nested-inf", "row-nan", "bare-inf",
+        "empty"])
+def test_finite_walks_every_nested_float(value, finite):
+    from cylscale.cli import _finite
+
+    assert _finite(value) is finite
 
 
 def test_tolerance_flag_writes_the_config_entry(tmp_path, capsys):

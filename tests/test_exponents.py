@@ -1,5 +1,6 @@
 """Unit and property tests for the exponent algebra."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cylscale import (
     DegenerateInputError,
     DomainError,
+    InfeasibleDeltaError,
     construct_profile_exponents,
     delta_interval,
     derive,
@@ -281,6 +283,145 @@ class TestConstructionMatchesSLForm:
             for name, ulps in (("gamma", 2), ("kappa", 5)):
                 assert abs(getattr(con, name) - want[name]) <= ulps * math.ulp(want[name])
             assert abs(con.exponent_certificate) <= 1e-13
+
+    def test_criterion_1_triples_with_delta_none(self):
+        for m0, a, _ in _criterion_1_triples():
+            lo, hi = _interval(m0, a)
+            _assert_fields(construct_profile_exponents(m0, a),
+                           _reference(m0, a, (lo + hi) / 2, "interior", (lo, hi)))
+
+    def test_seeded_interior_draws_equal_as_fractions(self):
+        rng = random.Random(1414)
+        for i in range(10_000):  # delta given on even draws, None on odd ones
+            m0 = Fraction(rng.randrange(1, 1000), 1000)
+            den = rng.randrange(2, 1000)
+            a = Fraction(rng.randrange(1, den), den)
+            lo, hi = _interval(m0, a)
+            t = Fraction(rng.randrange(1, 1000), 1000)
+            delta = lo + t * (hi - lo) if i % 2 == 0 else None
+            want = _reference(m0, a, (lo + hi) / 2 if delta is None else delta,
+                              "interior", (lo, hi))
+            _assert_fields(construct_profile_exponents(m0, a, delta), want)
+
+    def test_seeded_edge_draws_equal_as_fractions(self):
+        # both values of every flag, and 1/s or 1/l outside (0, 1] on both sides
+        rng = random.Random(1415)
+        seen = set()
+        for i in range(4000):
+            a = Fraction(i % 2)
+            m0 = Fraction(rng.randrange(951 if a == 0 else 801, 1000), 1000)
+            d1, d2 = (Fraction(rng.randrange(-130, 260), rng.choice((100, 77, 9)))
+                      for _ in range(2))
+            inv_s, inv_l = ((3 * (1 + d1) / 10, 11 * (1 - d2) / 20) if a == 0
+                            else (7 * (1 - d1) / 15, 3 * (1 + d2) / 10))
+            if not (0 < inv_s <= 1 and 0 < inv_l <= 1):
+                seen.add(("error", inv_s > 0 and inv_l > 0))
+                with pytest.raises(DomainError) as err:
+                    construct_profile_exponents(m0, a, delta1=d1, delta2=d2)
+                assert str(err.value) == ("require s >= 1 and l >= 1, "
+                                          f"got 1/s={inv_s}, 1/l={inv_l}")
+                continue
+            want = _reference(m0, a, None, f"alpha{a}", None, 1 / inv_s, 1 / inv_l)
+            _assert_fields(construct_profile_exponents(m0, a, delta1=d1, delta2=d2), want)
+            seen.update((a, name, want[name])
+                        for name in ("integrable", "strong_admissible", "edge_check"))
+        assert seen == {("error", False), ("error", True)} | {
+            (a, name, flag) for a in (0, 1) for flag in (False, True)
+            for name in ("integrable", "strong_admissible", "edge_check")}
+
+    @pytest.mark.parametrize("d1, d2, flag", [
+        (Fraction(43, 54), Fraction(1, 22), "integrable"),  # l gamma = 2
+        (Fraction(-1, 6), Fraction(1, 11), "strong_admissible"),  # mid = 3/4 = lower
+    ], ids=["l-gamma-2", "mid-on-lower"])
+    def test_flags_false_on_their_boundary(self, d1, d2, flag):
+        m0, a = Fraction(97, 100), Fraction(0)
+        s, l = 10 / (3 * (1 + d1)), 20 / (11 * (1 - d2))
+        want = _reference(m0, a, None, "alpha0", None, s, l)
+        assert want[flag] is False
+        _assert_fields(construct_profile_exponents(m0, a, delta1=d1, delta2=d2), want)
+
+    @pytest.mark.parametrize("args, fractions", [
+        ((Fraction(1, 10), Fraction(1, 2), np.int64(1)),
+         (Fraction(1, 10), Fraction(1, 2), Fraction(1))),
+        ((Fraction(97, 100), np.int32(0), None, np.int64(1), np.int16(0)),
+         (Fraction(97, 100), Fraction(0), None, Fraction(1), Fraction(0))),
+        ((Fraction(9, 10), np.uint8(1), None, np.int8(1) - np.int8(1), np.int64(2)),
+         (Fraction(9, 10), Fraction(1), None, Fraction(0), Fraction(2))),
+    ], ids=["interior", "alpha0", "alpha1"])
+    def test_numpy_integers_equal_fractions(self, args, fractions):
+        con = construct_profile_exponents(*args)
+        want = construct_profile_exponents(*fractions)
+        _assert_fields(con, {f.name: getattr(want, f.name)
+                             for f in dataclasses.fields(want)})
+        m0, a, delta, *deltas = fractions
+        if delta is None:  # the edge branches against the (s, l) form
+            d1, d2 = deltas
+            s, l = ((10 / (3 * (1 + d1)), 20 / (11 * (1 - d2))) if a == 0
+                    else (15 / (7 * (1 - d1)), 10 / (3 * (1 + d2))))
+            _assert_fields(con, _reference(m0, a, None, f"alpha{a}", None, s, l))
+        else:
+            _assert_fields(con, _reference(m0, a, delta, "interior", _interval(m0, a)))
+
+    @pytest.mark.parametrize("args, kwargs, cls, message", [
+        ((0.9, 1e-17), {}, InfeasibleDeltaError,
+         "empty delta interval (1.8181818181818181, 1.8181818181818181) "
+         "for m0=0.9, alpha=1e-17"),
+        ((Fraction(9, 10), Fraction(1, 2), 2), {}, DomainError,
+         "delta=2 outside admissible interval (120/77, 20/11)"),
+        ((Fraction(9, 10), Fraction(1, 2), Fraction(20, 11)), {}, DomainError,
+         "delta=20/11 outside admissible interval (120/77, 20/11)"),
+        ((Fraction(9, 10), Fraction(1, 2), Fraction(120, 77)), {}, DomainError,
+         "delta=120/77 outside admissible interval (120/77, 20/11)"),
+        ((Fraction(24, 25), 0, Fraction(17, 10)), {}, DomainError,
+         "delta=17/10 applies only to 0 < alpha_profile < 1; the alpha=0 branch "
+         "uses its closed form with delta1, delta2"),
+        ((Fraction(97, 100), 0), {"delta2": 2}, DomainError,
+         "require s >= 1 and l >= 1, got 1/s=303/1000, 1/l=-11/20"),
+        ((Fraction(9, 10), 1), {"delta1": np.int64(1)}, DomainError,
+         "require s >= 1 and l >= 1, got 1/s=0, 1/l=303/1000"),
+        ((Fraction(9, 10), Fraction(3, 2)), {}, DomainError,
+         "interior branch needs 0 < m0 < 1 and 0 < alpha_profile < 1, "
+         "got m0=9/10, alpha_profile=3/2"),
+        ((Fraction(9, 10), np.int64(-1)), {}, DomainError,
+         "interior branch needs 0 < m0 < 1 and 0 < alpha_profile < 1, "
+         "got m0=9/10, alpha_profile=-1"),
+        ((Fraction(9, 10), 0), {}, DomainError,
+         "alpha=0 branch needs 19/20 < m0 < 1, got m0=9/10"),
+        ((Fraction(4, 5), 1), {}, DomainError,
+         "alpha=1 branch needs 4/5 < m0 < 1, got m0=4/5"),
+        ((1, Fraction(1, 2)), {}, DomainError, "require 0 < m0 < 1, got m0=1"),
+    ], ids=["empty-interval", "delta-above", "delta-on-hi", "delta-on-lo",
+            "delta-on-edge-branch", "inv-l-negative", "inv-s-zero", "alpha-above-1",
+            "alpha-below-0", "alpha0-m0", "alpha1-m0", "m0"])
+    def test_error_messages(self, args, kwargs, cls, message):
+        with pytest.raises(cls) as err:
+            construct_profile_exponents(*args, **kwargs)
+        assert type(err.value) is cls and str(err.value) == message
+
+
+def _interval(m0, a):
+    """The interior delta interval, written out apart from delta_interval."""
+    return max(6 / (3 + a), 4 / (3 - a)) / (2 - m0), 2 / (2 - m0)
+
+
+def _reference(m0, a, delta, branch, interval, s=None, l=None):
+    """Every ProfileConstruction field; (s, l) from delta on the interior."""
+    if s is None:
+        inv_l = delta * (2 - m0) * (1 - a) / 2
+        inv_s = delta * (2 - m0) * a / 3
+        s, l = 1 / inv_s, 1 / inv_l
+    return dict(_sl_construction(m0, a, s, l), m0=m0, alpha_profile=a, delta=delta,
+                delta_interval=interval, branch=branch)
+
+
+def _assert_fields(con, want):
+    """Equal field by field, with the same types, tuples element-wise."""
+    assert {f.name for f in dataclasses.fields(con)} == set(want)
+    for name, value in want.items():
+        got = getattr(con, name)
+        assert got == value and type(got) is type(value), (name, got, value)
+        if isinstance(value, tuple):
+            assert [type(v) for v in got] == [type(v) for v in value], name
 
 
 def sample_strong_pair(rng):
