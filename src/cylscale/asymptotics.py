@@ -227,7 +227,7 @@ class LiouvilleVerdict:
 
 
 def liouville_verdict(m: float, gamma: Optional[float] = None,
-                      evidence=None, profile_kind: str = "selfsimilar") -> LiouvilleVerdict:
+                      evidence=None) -> LiouvilleVerdict:
     """Triviality verdict for a (discrete) self-similar profile.
 
     Trivial when m < 1/2, or when 1/2 < m < 3/5, gamma is below the
@@ -239,7 +239,7 @@ def liouville_verdict(m: float, gamma: Optional[float] = None,
     """
     m1 = 2.0 * m - 1.0
     checklist = {
-        "profile_kind": profile_kind,
+        "profile_kind": "selfsimilar",
         "m": m,
         "m1": m1,
         "m1_negative": m1 < 0,

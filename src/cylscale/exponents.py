@@ -186,10 +186,6 @@ class ProfileConstruction:
     #: edge-branch closure checks: l*gamma < 2 (alpha=0) or s*gamma < 3 (alpha=1)
     edge_check: Optional[bool] = None
 
-    @property
-    def params(self) -> ExponentParams:
-        return derive(self.s, self.l, self.m0)
-
 
 def delta_interval(m0: Number, alpha_profile: Number):
     """Admissible open interval for delta in the interior construction."""
@@ -229,9 +225,6 @@ def construct_profile_exponents(
         raise DomainError(f"alpha=0 branch needs 19/20 < m0 < 1, got m0={m0}")
     if branch == "alpha1" and not Fraction(4, 5) < m0 < 1:
         raise DomainError(f"alpha=1 branch needs 4/5 < m0 < 1, got m0={m0}")
-    if all(v is None or isinstance(v, Fraction) for v in values):  # rational mode
-        return _construct_on_pairs(m0, a, delta, d1, d2, branch)
-
     if branch == "alpha0":
         # s = 10/(3(1 + d1)), l = 20/(11(1 - d2))
         return _finish_construction(m0, a, None, None, 3 * (1 + d1) / 10,
@@ -240,6 +233,8 @@ def construct_profile_exponents(
         # s = 15/(7(1 - d1)), l = 10/(3(1 + d2))
         return _finish_construction(m0, a, None, None, 7 * (1 - d1) / 15,
                                     3 * (1 + d2) / 10, branch)
+    if all(v is None or isinstance(v, Fraction) for v in values):  # rational mode
+        return _construct_on_pairs(m0, a, delta)
 
     lo, hi = delta_interval(m0, a)  # which refuses alpha outside (0, 1)
     if not lo < hi:
@@ -255,9 +250,9 @@ def construct_profile_exponents(
                                 branch)
 
 
-def _construct_on_pairs(m0, a, delta, d1, d2, branch):
-    """The construction for Fraction inputs, on Python-int (numerator,
-    denominator) pairs with positive denominators.
+def _construct_on_pairs(m0, a, delta):
+    """The interior construction for Fraction inputs, on Python-int
+    (numerator, denominator) pairs with positive denominators.
 
     Sums, products, quotients and comparisons are cross-multiplications, and
     each output is reduced once, by ``Fraction(n, d)``; outputs and errors are
@@ -265,40 +260,29 @@ def _construct_on_pairs(m0, a, delta, d1, d2, branch):
     """
     mn, md = m0.numerator, m0.denominator
     an, ad = a.numerator, a.denominator
-    interval = None
-    if branch == "alpha0":  # 1/s = 3(1 + d1)/10, 1/l = 11(1 - d2)/20
-        sn, sd = 3 * (d1.denominator + d1.numerator), 10 * d1.denominator
-        ln, ld = 11 * (d2.denominator - d2.numerator), 20 * d2.denominator
-    elif branch == "alpha1":  # 1/s = 7(1 - d1)/15, 1/l = 3(1 + d2)/10
-        sn, sd = 7 * (d1.denominator - d1.numerator), 15 * d1.denominator
-        ln, ld = 3 * (d2.denominator + d2.numerator), 10 * d2.denominator
+    if not 0 < an < ad:
+        delta_interval(m0, a)  # raises its DomainError for alpha outside (0, 1)
+    # delta_interval's lo = max(6/(3 + a), 4/(3 - a))/(2 - m0) and
+    # hi = 2/(2 - m0), with 2 - m0 = w/md; lo < hi holds for every 0 < a < 1
+    w = 2 * md - mn
+    if 6 * (3 * ad - an) >= 4 * (3 * ad + an):
+        lo_n, lo_d = 6 * ad * md, (3 * ad + an) * w
     else:
-        if not 0 < an < ad:
-            delta_interval(m0, a)  # raises its DomainError for alpha outside (0, 1)
-        # delta_interval's lo = max(6/(3 + a), 4/(3 - a))/(2 - m0) and
-        # hi = 2/(2 - m0), with 2 - m0 = w/md; lo < hi holds for every 0 < a < 1
-        w = 2 * md - mn
-        if 6 * (3 * ad - an) >= 4 * (3 * ad + an):
-            lo_n, lo_d = 6 * ad * md, (3 * ad + an) * w
-        else:
-            lo_n, lo_d = 4 * ad * md, (3 * ad - an) * w
-        hi_n, hi_d = 2 * md, w
-        interval = (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
-        if delta is None:  # the midpoint
-            dn, dd = lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
-            delta = Fraction(dn, dd)
-        else:
-            dn, dd = delta.numerator, delta.denominator
-            if not (lo_n * dd < dn * lo_d and dn * hi_d < hi_n * dd):
-                raise DomainError(f"delta={delta} outside admissible interval "
-                                  f"({interval[0]}, {interval[1]})")
-        # delta (2 - m0) = dn w/(dd md); 1/s is a/3 and 1/l (1 - a)/2 of it
-        sn, sd = dn * w * an, 3 * dd * md * ad
-        ln, ld = dn * w * (ad - an), 2 * dd * md * ad
-
-    if not (0 < sn <= sd and 0 < ln <= ld):
-        raise DomainError(f"require s >= 1 and l >= 1, got 1/s={Fraction(sn, sd)}, "
-                          f"1/l={Fraction(ln, ld)}")
+        lo_n, lo_d = 4 * ad * md, (3 * ad - an) * w
+    hi_n, hi_d = 2 * md, w
+    interval = (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+    if delta is None:  # the midpoint
+        dn, dd = lo_n * hi_d + hi_n * lo_d, 2 * lo_d * hi_d
+        delta = Fraction(dn, dd)
+    else:
+        dn, dd = delta.numerator, delta.denominator
+        if not (lo_n * dd < dn * lo_d and dn * hi_d < hi_n * dd):
+            raise DomainError(f"delta={delta} outside admissible interval "
+                              f"({interval[0]}, {interval[1]})")
+    # delta (2 - m0) = dn w/(dd md); 1/s is a/3 and 1/l (1 - a)/2 of it
+    sn, sd = dn * w * an, 3 * dd * md * ad
+    ln, ld = dn * w * (ad - an), 2 * dd * md * ad
+    # so 0 < 1/s < 2/3 and 0 < 1/l < 1, as 0 < delta (2 - m0) < 2 and 0 < a < 1
     ud = sd * ld
     un = 3 * sn * ld + 2 * ln * sd - ud  # mid = 3/s + 2/l - 1 = un/ud; kappa = un/(sd ln)
     gn, gd = un * (md - mn) + ud * md, ud * md  # gamma = mid (1 - m0) + 1
@@ -307,11 +291,6 @@ def _construct_on_pairs(m0, a, delta, d1, d2, branch):
     c3 = 3 * td * sn - an * sd * gn  # 3 - a s gamma = c3/(td sn)
     # -kappa m0 + (2 - time_gamma l) + (3 - a s gamma) l/s over td ln sd md
     cert_n = -un * mn * td + c2 * sd * md + c3 * ld * md
-    edge_check = None
-    if branch == "alpha0":
-        edge_check = c2 > 0  # l gamma < 2, as time_gamma = gamma
-    elif branch == "alpha1":
-        edge_check = c3 > 0  # s gamma < 3
     return ProfileConstruction(
         m0=m0,
         alpha_profile=a,
@@ -325,8 +304,7 @@ def _construct_on_pairs(m0, a, delta, d1, d2, branch):
         integrable=c2 > 0 and c3 > 0,  # 1/l > time_gamma/2 and 1/s > gamma a/3
         # strong_admissibility(s, l): 1/2 + max(1/(2l), 1/2 - 1/l) < mid < 1
         strong_admissible=(ld + max(ln, ld - 2 * ln)) * sd < 2 * un < 2 * ud,
-        branch=branch,
-        edge_check=edge_check,
+        branch="interior",
     )
 
 

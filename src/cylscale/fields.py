@@ -266,8 +266,32 @@ class SteadyShearProfile(Profile):
         ) ** 2
 
 
+class _SimilarityForm(Profile):
+    """u = (-t)**time_power * U(y, *extra) and p = (-t)**(2 time_power) *
+    P(y, *extra) (zero without P) at the similarity point y of (x, t);
+    ``_extra(t)`` gives the arguments of U and P after y, none by default."""
+
+    def _extra(self, t) -> tuple:
+        return ()
+
+    @property
+    def time_power(self) -> float:
+        return -self.alpha / (self.alpha + 1)
+
+    def velocity(self, x, t):
+        y = _similarity_point(self.alpha, x, t)
+        return (-t) ** self.time_power * np.asarray(self.U(y, *self._extra(t)), dtype=float)
+
+    def pressure(self, x, t):
+        y = _similarity_point(self.alpha, x, t)
+        if self.P is None:
+            return np.zeros(y.shape[:-1])
+        scale = (-t) ** (-2 * self.alpha / (self.alpha + 1))
+        return scale * np.asarray(self.P(y, *self._extra(t)), dtype=float)
+
+
 @dataclass(frozen=True)
-class SelfSimilarProfile(Profile):
+class SelfSimilarProfile(_SimilarityForm):
     """u(x,t) = (-t)**(-alpha/(alpha+1)) * U(x * (-t)**(-1/(alpha+1))).
 
     Satisfies u(x,t) = lam**alpha * u(lam x, lam**(alpha+1) t) for every
@@ -279,24 +303,9 @@ class SelfSimilarProfile(Profile):
     U: Callable = None
     P: Optional[Callable] = None
 
-    @property
-    def time_power(self) -> float:
-        return -self.alpha / (self.alpha + 1)
-
-    def velocity(self, x, t):
-        y = _similarity_point(self.alpha, x, t)
-        return (-t) ** self.time_power * np.asarray(self.U(y), dtype=float)
-
-    def pressure(self, x, t):
-        y = _similarity_point(self.alpha, x, t)
-        scale = (-t) ** (-2 * self.alpha / (self.alpha + 1))
-        if self.P is None:
-            return np.zeros(y.shape[:-1])
-        return scale * np.asarray(self.P(y), dtype=float)
-
 
 @dataclass(frozen=True)
-class DiscreteSelfSimilarProfile(Profile):
+class DiscreteSelfSimilarProfile(_SimilarityForm):
     """Self-similar form with a profile periodic in the log-time variable.
 
     ``U(y, tau)`` maps (..., 3) points to (..., 3) vectors and has period
@@ -311,23 +320,11 @@ class DiscreteSelfSimilarProfile(Profile):
     P: Optional[Callable] = None
 
     @property
-    def time_power(self) -> float:
-        return -self.alpha / (self.alpha + 1)
-
-    @property
     def scaling_lambda(self) -> float:
         return float(np.exp(self.S0 / (self.alpha + 1)))
 
-    def velocity(self, x, t):
-        y = _similarity_point(self.alpha, x, t)
-        return (-t) ** self.time_power * np.asarray(self.U(y, -np.log(-t)), dtype=float)
-
-    def pressure(self, x, t):
-        y = _similarity_point(self.alpha, x, t)
-        if self.P is None:
-            return np.zeros(y.shape[:-1])
-        scale = (-t) ** (-2 * self.alpha / (self.alpha + 1))
-        return scale * np.asarray(self.P(y, -np.log(-t)), dtype=float)
+    def _extra(self, t) -> tuple:
+        return (-np.log(-t),)
 
 
 def steady_to_discrete(profile: SelfSimilarProfile, S0: float) -> DiscreteSelfSimilarProfile:
@@ -423,8 +420,6 @@ def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> Gr
     pts = np.stack([xx, yy, zz], axis=-1)
     T = cyl.time_depth
     vel, prs = profile.slices(pts, _cell_centres(-T, T, n_time))
-    if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(prs))):
-        raise NonFiniteSampleError("profile evaluated non-finite inside the cylinder")
     return GridField(
         cylinder=cyl,
         n_space=n_space,

@@ -134,8 +134,7 @@ def _graded_rule(length: float, n: int, levels: int):
 
 def graded_time_quadrature(f, T: float, cfg: QuadratureConfig) -> float:
     """int_0^T f(u) du with grading toward u = 0 (f of the *age* u = -t)."""
-    nodes, weights = graded_nodes(T, cfg.n_time if cfg.n_time > 4 else 16,
-                                  cfg.graded_levels)
+    nodes, weights = graded_nodes(T, cfg.n_time, cfg.graded_levels)
     return float(np.sum(weights * f(nodes)))
 
 

@@ -626,8 +626,7 @@ _VARIANTS = ("standard-ns", "euler-limit", "selfsimilar", "selfsimilar-weighted"
 
 
 def local_energy_residual(profile, testfn, tau0: float, variant: str,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG,
-                          params: Optional[ExponentParams] = None):
+                          cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Both sides of a local energy balance and their difference.
 
     Variants: "standard-ns" (with dissipation and the heat-test term),
@@ -678,13 +677,8 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
         lhs = float(rows[-1, 0]) * T0 + 2.0 * float(np.sum(twts * dissipation * T))
         return lhs, rhs, lhs - rhs
 
-    if params is None:
-        alpha = profile.alpha
-        m1 = 3.0 - 2.0 * alpha
-    else:
-        alpha = float(params.alpha)
-        m1 = float(params.m1)
-    rate = m1 / (1.0 + alpha)
+    alpha = profile.alpha
+    rate = (3.0 - 2.0 * alpha) / (1.0 + alpha)  # m1 / (1 + alpha) with m1 = 3 - 2 alpha
     U = np.asarray(profile.U(pts), dtype=float)
     P = (
         np.zeros(pts.shape[0])

@@ -146,7 +146,7 @@ def lambda_for_rk(r_k: float, alpha: float) -> float:
         raise DomainError(f"need finite alpha >= 1, got {alpha}")
     lam = r_k ** (2.0 / (alpha + 1.0))
     if abs(lam ** ((alpha + 1.0) / 2.0) - r_k) > ROOT_TOL:
-        raise ArithmeticError("round-trip check of the zoom factor failed")
+        raise DomainError(f"zoom factor rounds to {lam!r} for r_k={r_k!r}, alpha={alpha!r}")
     return lam
 
 

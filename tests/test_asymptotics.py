@@ -37,6 +37,14 @@ class TestDeriveParams:
         """As m1 -> 0 the ceiling tends to 1/(2 ln 2)."""
         assert gamma_ceiling(1e-6) == pytest.approx(1 / (2 * math.log(2)), abs=1e-4)
 
+    def test_gamma_ceiling_at_zero(self):
+        assert gamma_ceiling(0.0) == 1.0 / (2.0 * math.log(2.0))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.0, -0.5, 1.5])
+    def test_theta_outside_unit_interval(self, theta):
+        with pytest.raises(DomainError, match="theta"):
+            IterationParams(theta=theta, beta=0.5)
+
     def test_window_guard(self):
         with pytest.raises(DomainError):
             derive_iteration_params(0.62, 0.5)
@@ -70,6 +78,10 @@ class TestIterateBound:
         trace = iterate_bound(p, 4.0, 0)
         assert len(trace.bounds) == 1
         assert trace.bounds[0] == pytest.approx(2.0 + 2.0 / 4.0)
+
+    def test_negative_k_max(self):
+        with pytest.raises(DomainError, match="k_max"):
+            iterate_bound(IterationParams(0.5, 0.5), 2.0, -1)
 
     @given(
         st.floats(0.2, 0.95),
@@ -149,6 +161,18 @@ class TestGrowthEnvelope:
         with pytest.raises(DomainError):
             growth_envelope(lambda r: r, 0.0, [1.0, 1.0], radial=True)
 
+    def test_vector_field_uses_its_norm(self):
+        def u(pts):
+            w = np.exp(-np.einsum("...i,...i->...", pts, pts))[..., None]
+            return w * (pts + np.array([1.0, 0.0, 0.0]))
+
+        cfg = QuadratureConfig(n_space=16)
+        vec = growth_envelope(u, 0.2, [1.0, 2.0, 4.0], cfg=cfg)
+        norm = growth_envelope(lambda pts: np.linalg.norm(u(pts), axis=-1), 0.2,
+                               [1.0, 2.0, 4.0], cfg=cfg)
+        assert vec.masses == pytest.approx(norm.masses, rel=1e-12)
+        assert vec.masses[0] > 0
+
 
 class TestLiouville:
     def test_reference_verdicts(self):
@@ -190,6 +214,13 @@ class TestLiouville:
         v = liouville_verdict(0.55, 0.5, evidence=(e for e in [env, True]))
         assert v.verdict == "Trivial"
         assert v.checklist["evidence_bounded"] is True
+
+    @pytest.mark.parametrize("evidence", [3.0, object()])
+    def test_non_iterable_evidence_inconclusive(self, evidence):
+        v = liouville_verdict(0.55, 0.5, evidence=evidence)
+        assert v.verdict == "Inconclusive"
+        assert v.checklist["evidence_bounded"] is False
+        assert v.checklist["profile_kind"] == "selfsimilar"
 
     def test_empty_evidence_inconclusive(self):
         assert liouville_verdict(0.55, 0.5, evidence=iter(())).verdict == "Inconclusive"

@@ -102,6 +102,10 @@ class TestExponentsCommand:
     def test_invalid_input_exit_code(self, tmp_path):
         assert run(tmp_path, "exponents", "exponents.s=0.5") == EXIT_INVALID
 
+    def test_override_without_equals_exits_invalid(self, tmp_path, capsys):
+        assert run(tmp_path, "exponents", "foo") == EXIT_INVALID
+        assert "override must be key=value" in capsys.readouterr().err
+
     def test_missing_field_diagnostic(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("exponents.s = oops\n")

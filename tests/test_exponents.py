@@ -67,6 +67,12 @@ class TestDerive:
         assert denom > 0
         derive(s, l, m0)  # never raises DegenerateInputError
 
+    def test_denominator_rounding_to_zero_in_float_mode(self):
+        # 2 + (1e-300 - 1) * 2 is 0.0 in binary64, though positive in exact arithmetic
+        with pytest.raises(DegenerateInputError, match="alpha undefined"):
+            derive(3.0, 1.0, 1e-300)
+        assert derive(3, 1, Fraction(1, 10**300)).alpha > 0
+
     @given(rationals(1.5, 5.0), rationals(1.1, 5.0), rationals(0.05, 0.95))
     @settings(max_examples=100, deadline=None)
     def test_exactness_and_identities(self, s, l, m0):

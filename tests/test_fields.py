@@ -18,6 +18,7 @@ from cylscale import (
     DomainError,
     FileFormatError,
     GridField,
+    NonFiniteSampleError,
     PowerLawProfile,
     ResolutionError,
     SampledProfile,
@@ -232,6 +233,66 @@ class TestSelfSimilar:
         assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
+def _tau_swirl(y, tau):
+    return (2.0 + np.sin(tau)) * _swirl(y)
+
+
+def _tau_bowl(y, tau):
+    return np.cos(tau) * np.sum(y * y, axis=-1)
+
+
+class TestSimilarityFormulas:
+    """velocity and pressure of both similarity profiles, bit for bit against
+    the written formulas u = (-t)**(-a/(a+1)) U(y, ...) and
+    p = (-t)**(-2a/(a+1)) P(y, ...) at y = x (-t)**(-1/(a+1))."""
+
+    x = RNG.normal(size=(5, 4, 3))
+
+    @staticmethod
+    def _y(alpha, x, t):
+        return x * (-t) ** (-1.0 / (alpha + 1))
+
+    @pytest.mark.parametrize("t", [-0.3, -1.0, -2.5])
+    def test_self_similar(self, t):
+        a = 1.4
+        p = SelfSimilarProfile(alpha=a, U=_swirl, P=lambda y: np.sum(y * y, axis=-1))
+        y = self._y(a, self.x, t)
+        want_v = (-t) ** (-a / (a + 1)) * _swirl(y)
+        want_p = (-t) ** (-2 * a / (a + 1)) * np.sum(y * y, axis=-1)
+        assert p.velocity(self.x, t).tobytes() == want_v.tobytes()
+        assert p.pressure(self.x, t).tobytes() == want_p.tobytes()
+        no_p = SelfSimilarProfile(alpha=a, U=_swirl)
+        assert no_p.pressure(self.x, t).tobytes() == np.zeros((5, 4)).tobytes()
+
+    @pytest.mark.parametrize("t", [-0.3, -1.0, -2.5])
+    def test_discrete_self_similar(self, t):
+        a = 1.3
+        p = DiscreteSelfSimilarProfile(alpha=a, S0=0.7, U=_tau_swirl, P=_tau_bowl)
+        y, tau = self._y(a, self.x, t), -np.log(-t)
+        want_v = (-t) ** (-a / (a + 1)) * _tau_swirl(y, tau)
+        want_p = (-t) ** (-2 * a / (a + 1)) * _tau_bowl(y, tau)
+        assert p.velocity(self.x, t).tobytes() == want_v.tobytes()
+        assert p.pressure(self.x, t).tobytes() == want_p.tobytes()
+        no_p = DiscreteSelfSimilarProfile(alpha=a, S0=0.7, U=_tau_swirl)
+        assert no_p.pressure(self.x, t).tobytes() == np.zeros((5, 4)).tobytes()
+
+    def test_field_orders_and_classes(self):
+        ss = SelfSimilarProfile(1.2, _swirl, None)
+        dss = DiscreteSelfSimilarProfile(1.2, 0.5, _tau_swirl, None)
+        assert [f.name for f in dataclasses.fields(ss)] == ["alpha", "U", "P"]
+        assert [f.name for f in dataclasses.fields(dss)] == ["alpha", "S0", "U", "P"]
+        assert not isinstance(dss, SelfSimilarProfile)
+        assert ss.time_power == dss.time_power == -1.2 / 2.2
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_refuse_non_negative_time(self, t):
+        for p in (SelfSimilarProfile(alpha=1.5, U=_swirl),
+                  DiscreteSelfSimilarProfile(alpha=1.5, U=_tau_swirl, P=_tau_bowl)):
+            for method in (p.velocity, p.pressure):
+                with pytest.raises(SingularPointError):
+                    method(self.x, t)
+
+
 class TestGrid:
     def test_sample_shapes_and_offsets(self):
         cyl = CylinderSpec(radius=1.0)
@@ -263,6 +324,38 @@ class TestGrid:
         got = sp.velocity(x, float(f.times[1]))
         want = p.velocity(x, float(f.times[1]))
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_sampled_pressure_interpolates_nodes(self):
+        f = sample(PowerLawProfile(pressure_coeff=0.7), CylinderSpec(1.0), 6, 4)
+        sp = SampledProfile(f)
+        axis = f.space_axis
+        x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        for j in (0, 3):
+            assert np.allclose(sp.pressure(x, float(f.times[j])), f.pressure[j],
+                               rtol=1e-12, atol=0.0)
+        mid = 0.5 * (f.times[1] + f.times[2])
+        assert np.allclose(sp.pressure(x, float(mid)),
+                           0.5 * (f.pressure[1] + f.pressure[2]), rtol=1e-12, atol=0.0)
+
+    def test_sample_refuses_non_finite_profile(self):
+        # the pressure, speed**2, overflows; GridField's scan reports it
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteSampleError):
+            sample(PowerLawProfile(c=1e300), CylinderSpec(1.0), 4, 4)
+
+    def test_grid_field_resolution_and_finiteness(self):
+        f = sample(SteadyShearProfile(1.0, 2.0), CylinderSpec(1.0), 4, 2)
+        for n, nt in ((1, 2), (4, 1)):
+            shape = (nt, n, n, n)
+            with pytest.raises(ResolutionError, match="at least 2 cells"):
+                GridField(f.cylinder, n, nt, np.zeros(shape + (3,)), np.zeros(shape))
+        for bad in (np.nan, np.inf):
+            vel, prs = f.velocity.copy(), f.pressure.copy()
+            vel[1, 2, 3, 0, 1] = bad
+            with pytest.raises(NonFiniteSampleError):
+                GridField(f.cylinder, 4, 2, vel, f.pressure.copy())
+            prs[0, 0, 0, 0] = -bad
+            with pytest.raises(NonFiniteSampleError):
+                GridField(f.cylinder, 4, 2, f.velocity.copy(), prs)
 
     def test_csv_round_trip(self, tmp_path):
         p = SteadyShearProfile(0.7, 2.0)

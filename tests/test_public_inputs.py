@@ -1,9 +1,15 @@
 """Public entry points refuse NaN, infinite and wrong-sign inputs with a typed
 error instead of returning NaN, complex or negative numbers."""
 
+import ast
+import builtins
+import importlib
 import math
+from pathlib import Path
 
 import pytest
+
+import cylscale
 
 from cylscale import (
     CylscaleError,
@@ -96,3 +102,56 @@ def test_delta_interval_range(m0, alpha):
 def test_divergence_residual_needs_a_grid(obj):
     with pytest.raises(CylscaleError, match="GridField"):
         divergence_residual(obj)
+
+
+def _raise_sites(tree):
+    """(scope, raised expression, names the enclosing try bodies catch) of
+    each raise that names its exception; scope is the dotted def/class path."""
+    sites = []
+
+    def walk(node, scope, caught):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope, caught = scope + (node.name,), frozenset()
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            sites.append((".".join(scope), exc, caught))
+        if isinstance(node, ast.Try):
+            names = {n.id for h in node.handlers if h.type is not None
+                     for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+            for child in node.body:
+                walk(child, scope, caught | names)
+            for child in node.handlers + node.orelse + node.finalbody:
+                walk(child, scope, caught)
+            return
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope, caught)
+
+    walk(tree, (), frozenset())
+    return sites
+
+
+#: the only raises outside CylscaleError: Profile's abstract evaluators, and
+#: the ValueError that read_grid_csv's own try turns into FileFormatError
+_UNTYPED_RAISES = {
+    ("fields", "Profile.velocity", "NotImplementedError"),
+    ("fields", "Profile.pressure", "NotImplementedError"),
+    ("fields", "read_grid_csv", "ValueError"),
+}
+
+_SOURCES = sorted(Path(cylscale.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=[p.stem for p in _SOURCES])
+def test_every_raise_is_a_cylscale_error(path):
+    """Each ``raise Name(...)`` resolves, in its module's namespace, to a
+    CylscaleError subclass, so no API call ends in a bare builtin error."""
+    name = path.stem
+    module = importlib.import_module("cylscale" if name == "__init__" else f"cylscale.{name}")
+    for scope, exc, caught in _raise_sites(ast.parse(path.read_text())):
+        assert isinstance(exc, ast.Name), (name, scope, ast.dump(exc))
+        cls = getattr(module, exc.id, None) or getattr(builtins, exc.id)
+        if issubclass(cls, CylscaleError):
+            continue
+        site = (name, scope, exc.id)
+        assert site in _UNTYPED_RAISES, f"{name}.{scope} raises {exc.id}"
+        assert exc.id != "ValueError" or "ValueError" in caught, site

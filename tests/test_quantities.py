@@ -17,6 +17,7 @@ from cylscale import (
     Profile,
     QuadratureConfig,
     RadiusError,
+    ResolutionError,
     ScalingSpec,
     SelfSimilarProfile,
     SteadyShearProfile,
@@ -35,6 +36,8 @@ from cylscale import (
     sample,
     sup_weighted_mass,
 )
+
+from cylscale.quadrature import graded_nodes, graded_time_quadrature
 
 FOUR_PI_3 = 4.0 * np.pi / 3.0
 
@@ -183,6 +186,12 @@ class TestGridQuantities:
             sup_weighted_mass(f, 2.0, 1.0)
         with pytest.raises(RadiusError):
             sup_weighted_mass(f, -1.0, 1.0)
+
+    def test_radius_below_the_first_time_cell(self):
+        # the known limit: no time sample in (-r^2, 0) once r <= sqrt(1/(2*8)) = 0.25
+        f = sample(PowerLawProfile(), CylinderSpec(1.0), 12, 8)
+        with pytest.raises(ResolutionError, match="no grid time samples"):
+            energy_quantities(f, 0.2, derive(2.8, 2.8, 0.9))
 
 
 class _SmoothProfile(Profile):
@@ -358,6 +367,23 @@ class TestReports:
         assert _ratio(0.0, 0.0) == 0.0
         with pytest.raises(InequalityStructureError):
             _ratio(1.0, 0.0)
+
+    @pytest.mark.parametrize("r, rho", [(0.5, 0.5), (0.6, 0.5), (0.0, 0.5)])
+    def test_inequality_ratios_need_r_below_rho(self, r, rho):
+        with pytest.raises(RadiusError, match="0 < r < rho"):
+            inequality_ratios(ConstantProfile(), r, rho, self.params)
+
+
+class TestGradedTimeRule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_small_n_time_is_the_n16_rule(self, n):
+        # n/16 rounds to at most one cell per level for every n <= 4, as for 16
+        f = lambda u: u**-0.4 + np.cos(u)
+        for T in (0.3, 1.0, 2.5):
+            small = graded_time_quadrature(f, T, QuadratureConfig(n_time=n))
+            assert small == graded_time_quadrature(f, T, QuadratureConfig(n_time=16))
+            for got, want in zip(graded_nodes(T, n, 28), graded_nodes(T, 16, 28)):
+                assert np.array_equal(got, want)
 
 
 def _row_from_primitives(field, r, params, cfg, mu):
@@ -596,6 +622,19 @@ class TestLocalEnergy:
             local_energy_residual(prof, late, -0.005, "euler-limit")
         with pytest.raises(SupportError):
             local_energy_residual(prof, self.bump, -0.4, "euler-limit")  # x=0 inside
+
+    @pytest.mark.parametrize("tau0", [0.0, 0.3])
+    def test_physical_variants_need_negative_tau0(self, tau0):
+        for variant in ("standard-ns", "euler-limit"):
+            with pytest.raises(SupportError, match="tau0 must be negative"):
+                local_energy_residual(self.shear, self.bump, tau0, variant)
+
+    def test_tau0_before_the_test_window(self):
+        # no time node lies before tau0, so the rhs is an empty sum
+        cfg = QuadratureConfig(n_space=8)
+        for variant in ("standard-ns", "euler-limit"):
+            lhs, rhs, res = local_energy_residual(self.shear, self.bump, -2.0, variant, cfg)
+            assert rhs == 0.0 and res == lhs and 0.0 <= lhs < 1e-100
 
     def test_substitution_identity(self):
         """The weighted balance with phi = psi * exp(rate*tau) coincides with

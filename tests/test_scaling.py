@@ -10,8 +10,10 @@ from cylscale import (
     ConstantProfile,
     CylinderSpec,
     DomainError,
+    GeometryError,
     PowerLawProfile,
     QuadratureConfig,
+    RescaledProfile,
     ScalingSpec,
     SelfSimilarProfile,
     SteadyShearProfile,
@@ -84,6 +86,15 @@ class TestRescaleClosedForms:
         want = 0.3**1.2 * prof.velocity(0.3 * x, 0.3**2.2 * -0.5)
         assert np.allclose(out.velocity(x, -0.5), want)
 
+    def test_generic_wrapper_pressure(self):
+        P = lambda y: np.exp(-np.einsum("...i,...i->...", y, y))
+        prof = SelfSimilarProfile(alpha=1.5, U=np.zeros_like, P=P)
+        out = rescale(prof, ScalingSpec("euler", 0.3, alpha=1.2))
+        assert isinstance(out, RescaledProfile)
+        x = np.array([[0.4, 0.1, -0.2], [-1.0, 0.5, 0.3]])
+        want = 0.3**2.4 * prof.pressure(0.3 * x, 0.3**2.2 * -0.5)
+        assert out.pressure(x, -0.5).tobytes() == want.tobytes()
+
 
 class TestLambdaForRk:
     @given(st.floats(0.001, 0.999), st.floats(1.0, 3.0))
@@ -98,6 +109,13 @@ class TestLambdaForRk:
             lambda_for_rk(1.5, 2.0)
         with pytest.raises(DomainError):
             lambda_for_rk(0.5, 0.8)
+
+    @pytest.mark.parametrize("alpha", [1e16, 1e20, 1e300])
+    def test_zoom_factor_rounding_to_one_is_a_domain_error(self, alpha):
+        # r_k**(2/(alpha+1)) rounds to 1.0, which raised a bare ArithmeticError
+        with pytest.raises(DomainError) as err:
+            lambda_for_rk(0.5, alpha)
+        assert f"r_k=0.5, alpha={alpha!r}" in str(err.value)
 
 
 class TestViscousInvariance:
@@ -161,4 +179,9 @@ class TestInviscidChain:
         with pytest.raises(GeometryError):
             invariance_report(self.prof,
                               ScalingSpec("euler", 1.5, alpha=1.2),
+                              self.params, [1.0])
+
+    def test_alpha_below_one_rejected(self):
+        with pytest.raises(GeometryError, match="alpha < 1"):
+            invariance_report(self.prof, ScalingSpec("euler", 0.5, alpha=0.8),
                               self.params, [1.0])
