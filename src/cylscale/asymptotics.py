@@ -38,12 +38,18 @@ class IterationParams:
     C_force: float = 1.0
     gamma: float = 0.0
     m1: float = 0.0
-    gamma_max: float = math.inf
-    gamma_ok: bool = True
 
     def __post_init__(self):
         if not 0 < self.theta < 1:
             raise DomainError(f"theta must lie in (0,1), got {self.theta}")
+
+    @property
+    def gamma_max(self) -> float:
+        return gamma_ceiling(self.m1)
+
+    @property
+    def gamma_ok(self) -> bool:
+        return self.gamma < self.gamma_max
 
     @property
     def case_tag(self) -> str:
@@ -60,6 +66,8 @@ class IterationParams:
 
 def gamma_ceiling(m1: float) -> float:
     """Largest growth exponent for which the profile term still contracts."""
+    if not -2 < m1 < math.inf:
+        raise DomainError(f"m1 must be finite and exceed -2, got {m1}")
     if m1 == 0:
         return 1.0 / (2.0 * math.log(2.0))
     return (math.log(2.0 + m1) - math.log(2.0)) / (m1 * math.log(2.0))
@@ -80,11 +88,7 @@ def derive_iteration_params(m: float, gamma: float,
     m1 = 2.0 * m - 1.0
     theta = 2.0 / (2.0 + m1)
     beta = 1.25 * (1.0 - 5.0 * m / 3.0)
-    gmax = gamma_ceiling(m1)
-    return IterationParams(
-        theta=theta, beta=beta, C_force=C_force, gamma=gamma, m1=m1,
-        gamma_max=gmax, gamma_ok=gamma < gmax,
-    )
+    return IterationParams(theta=theta, beta=beta, C_force=C_force, gamma=gamma, m1=m1)
 
 
 def forcing_term(params: IterationParams, R: float, k: int) -> float:
@@ -327,8 +331,7 @@ class _FixedTau(Profile):
 
 
 def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
-                    ladder: Sequence[float], S0: Optional[float] = None,
-                    m: float = 0.55, n_tau: int = 8,
+                    ladder: Sequence[float], m: float = 0.55, n_tau: int = 8,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """Slope checks of the four time-slab growth bounds on an R ladder.
 
@@ -336,8 +339,7 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
     integrals over (0, S0) of |grad U|^2, |P|^{3/2} and |U|^3; a bound
     <= C * R**e passes iff the fitted log-log slope is <= e + SLOPE_SLACK.
     """
-    if S0 is None:
-        S0 = profile.S0
+    S0 = profile.S0
     alpha = profile.alpha
     m1 = 2.0 * m - 1.0
     ladder = [float(R) for R in ladder]

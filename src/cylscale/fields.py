@@ -255,10 +255,6 @@ class SteadyShearProfile(Profile):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
-    def speed(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return np.abs(self.amplitude * np.sin(self.wavenumber * x[..., 1]))
-
     def grad_norm_sq(self, x, t):
         x = np.asarray(x, dtype=float)
         return (self.amplitude * self.wavenumber) ** 2 * np.cos(
@@ -270,6 +266,11 @@ class _SimilarityForm(Profile):
     """u = (-t)**time_power * U(y, *extra) and p = (-t)**(2 time_power) *
     P(y, *extra) (zero without P) at the similarity point y of (x, t);
     ``_extra(t)`` gives the arguments of U and P after y, none by default."""
+
+    def __post_init__(self):
+        if not (callable(self.U) and -1 < self.alpha < math.inf
+                and 0 < getattr(self, "S0", 1.0) < math.inf):  # S0: a discrete period
+            raise DomainError(f"need a callable U, finite alpha > -1 and finite S0 > 0: {self}")
 
     def _extra(self, t) -> tuple:
         return ()

@@ -202,14 +202,18 @@ def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
     return table[:, k] * field.cell_size**3
 
 
-def _check_radius(field, r: float, mu: float = 1.0):
+def _check_radius(field, r: float):
     if not 0 < r < math.inf:
         raise RadiusError(f"radius must be positive and finite, got {r}")
-    if not 0 < mu < math.inf:
-        raise DomainError(f"mu must be positive and finite, got {mu}")
     if isinstance(field, GridField) and r > field.cylinder.space_radius * (1 + 1e-12):
         raise RadiusError(f"radius {r} exceeds the field cylinder "
                           f"{field.cylinder.space_radius}")
+
+
+def _check_mixed(field, R: float, s: float, l: float, m0: float):
+    _check_radius(field, R)
+    if not (1 <= s < math.inf and 1 <= l < math.inf and 0 < m0 <= 1):
+        raise DomainError(f"need finite s, l >= 1 and 0 < m0 <= 1, got {s}, {l}, {m0}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +229,10 @@ def _weighted(r: float, weight: float, value) -> float:
     return r ** (-weight) * S * dt
 
 
-def _mass_sup(field, r: float, cfg: QuadratureConfig, mu: float = 1.0,
+def _mass_sup(field, r: float, cfg: QuadratureConfig,
               times: Optional[Sequence[float]] = None):
-    """max over time samples in (-mu r^2, 0) of int_{B(r)} |v|^2 dx."""
-    T = mu * r**2
+    """max over time samples in (-r^2, 0) of int_{B(r)} |v|^2 dx."""
+    T = r**2
     if isinstance(field, GridField):
         idx, _ = _grid_times_in(field, T)
         vals = _grid_ball_sums(field, ("speed", 2.0), r)[idx]
@@ -242,11 +246,11 @@ def _mass_sup(field, r: float, cfg: QuadratureConfig, mu: float = 1.0,
 
 
 def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
-                       mu: float = 1.0, l: Optional[float] = None):
-    """int over (-mu r^2, 0) of I(t) dt, I(t) the integral of the moment
+                       l: Optional[float] = None):
+    """int over (-r^2, 0) of I(t) dt, I(t) the integral of the moment
     ``key`` over B(r), or with ``l`` given (key ("speed", p)) of I(t)**(l/p).
     """
-    T = mu * r**2
+    T = r**2
     q = None if l is None else l / key[1]
     if isinstance(field, GridField):
         idx, dt = _grid_times_in(field, T)
@@ -265,48 +269,46 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
 
 
 def sup_weighted_mass(field, r: float, weight: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG, mu: float = 1.0,
-                      times: Optional[Sequence[float]] = None) -> float:
+                      cfg: QuadratureConfig = DEFAULT_CONFIG,
+                      # keyword-only: perfbench's tracer reads a fifth positional as mu
+                      *, times: Optional[Sequence[float]] = None) -> float:
     """r**(-weight) * max over time samples of int_{B(r)} |v|^2 dx.
 
     The sup over t is taken over the supplied (or cell-centered) samples,
     never interpolated.
     """
-    _check_radius(field, r, mu)
-    if times is not None and not all(-mu * r**2 < t < 0 for t in times):
-        raise DomainError(f"times must lie in (-mu r^2, 0) = ({-mu * r**2}, 0), got {times}")
-    return _weighted(r, weight, _mass_sup(field, r, cfg, mu, times))
+    _check_radius(field, r)
+    if times is not None and not all(-r**2 < t < 0 for t in times):
+        raise DomainError(f"times must lie in (-r^2, 0) = ({-r**2}, 0), got {times}")
+    return _weighted(r, weight, _mass_sup(field, r, cfg, times))
 
 
 def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG,
-                            mu: float = 1.0) -> float:
-    """r**(-weight) * int over Q^{1,mu}(r) of |field|^p, kind "speed" or
-    "pressure"."""
+                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """r**(-weight) * int over Q(r) of |field|^p, kind "speed" or "pressure"."""
     if kind not in ("speed", "pressure"):
         raise DomainError(f"kind must be 'speed' or 'pressure', got {kind!r}")
-    _check_radius(field, r, mu)
-    return _weighted(r, weight, _cylinder_integral(field, (kind, p), r, cfg, mu))
+    _check_radius(field, r)
+    return _weighted(r, weight, _cylinder_integral(field, (kind, p), r, cfg))
 
 
 def cylinder_gradsq_integral(field, r: float, weight: float,
-                             cfg: QuadratureConfig = DEFAULT_CONFIG,
-                             mu: float = 1.0) -> float:
-    """r**(-weight) * int over Q^{1,mu}(r) of |grad v|^2."""
-    _check_radius(field, r, mu)
-    return _weighted(r, weight, _cylinder_integral(field, ("gradsq",), r, cfg, mu))
+                             cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """r**(-weight) * int over Q(r) of |grad v|^2."""
+    _check_radius(field, r)
+    return _weighted(r, weight, _cylinder_integral(field, ("gradsq",), r, cfg))
 
 
 def m_quantity(field, R: float, s: float, l: float, m0: float,
-               cfg: QuadratureConfig = DEFAULT_CONFIG, mu: float = 1.0):
+               cfg: QuadratureConfig = DEFAULT_CONFIG):
     """The kappa-weighted mixed norm and its attenuated variant.
 
-    M = R**(-kappa) * int_{-mu R^2}^0 (int_{B(R)} |v|^s dx)**(l/s) dt and
+    M = R**(-kappa) * int_{-R^2}^0 (int_{B(R)} |v|^s dx)**(l/s) dt and
     M_att = R**((1-m0) kappa) * M.
     """
-    _check_radius(field, R, mu)
+    _check_mixed(field, R, s, l, m0)
     k = kappa(s, l)
-    M = _weighted(R, k, _cylinder_integral(field, ("speed", s), R, cfg, mu, l))
+    M = _weighted(R, k, _cylinder_integral(field, ("speed", s), R, cfg, l))
     return M, R ** ((1.0 - m0) * k) * M
 
 
@@ -320,6 +322,7 @@ def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
 
     Raises DivergentIntegralError when either separated integral is infinite.
     """
+    _check_mixed(None, R, s, l, m0)
     k = kappa(s, l)
     radial = power_radial_integral(-alpha_p * gamma_p * s, R)  # R**(3-a s g)/(3-a s g)
     bl = -(1 - alpha_p) * gamma_p * l / 2.0
@@ -380,23 +383,22 @@ class QuantityReport:
 
 
 def energy_quantities(field, r: float, params: ExponentParams,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      mu: float = 1.0) -> QuantityRow:
+                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuantityRow:
     """One report row: plain and Morrey-weighted quantities plus mixed norms.
 
     A, E, C, D and H are each integrated once; the two weights of each are
     powers of r applied afterwards.
     """
-    _check_radius(field, r, mu)
+    _check_radius(field, r)
     m = float(params.m)
     m1 = float(params.m1)
-    A = _mass_sup(field, r, cfg, mu)
-    E = _cylinder_integral(field, ("gradsq",), r, cfg, mu)
-    C = _cylinder_integral(field, ("speed", 3.0), r, cfg, mu)
-    D = _cylinder_integral(field, ("pressure", 1.5), r, cfg, mu)
-    H = _cylinder_integral(field, ("speed", 2.0), r, cfg, mu)
+    A = _mass_sup(field, r, cfg)
+    E = _cylinder_integral(field, ("gradsq",), r, cfg)
+    C = _cylinder_integral(field, ("speed", 3.0), r, cfg)
+    D = _cylinder_integral(field, ("pressure", 1.5), r, cfg)
+    H = _cylinder_integral(field, ("speed", 2.0), r, cfg)
     Mk, Mk0 = m_quantity(field, r, float(params.s), float(params.l),
-                         float(params.m0), cfg, mu)
+                         float(params.m0), cfg)
     return QuantityRow(
         r=r, A=_weighted(r, 1.0, A), E=_weighted(r, 1.0, E),
         C=_weighted(r, 2.0, C), D=_weighted(r, 2.0, D), H=_weighted(r, 3.0, H),
@@ -505,28 +507,32 @@ class _SpaceTimeProduct:
         return self.space_parts(y)[0] * self.time_parts(tau)[1]
 
 
+#: standard deviations at which a GaussianBump's quadrature support is cut,
+#: where the tails are negligible against the tolerances used here
+NSIGMA = 7.0
+
+
 @dataclass(frozen=True)
 class GaussianBump(_SpaceTimeProduct):
-    """Smooth nonnegative test function with analytic derivatives.
-
-    A Gaussian in space and time; the quadrature support is truncated at
-    ``nsigma`` standard deviations, where the tails are negligible against
-    the tolerances used here.
-    """
+    """Smooth nonnegative test function with analytic derivatives: a unit
+    Gaussian in space and time, its support cut at NSIGMA deviations."""
 
     center: tuple = (0.0, 0.0, 0.0)
     t_center: float = -0.5
     sigma: float = 0.5
     sigma_t: float = 0.1
-    amplitude: float = 1.0
-    nsigma: float = 7.0
+
+    def __post_init__(self):
+        if not (0 < self.sigma < math.inf and 0 < self.sigma_t < math.inf
+                and np.isfinite([*self.center, self.t_center]).all()):
+            raise DomainError(f"need finite centres and positive finite widths: {self}")
 
     def space_parts(self, y):
-        """Value, gradient and Laplacian of the spatial factor (which carries
-        the amplitude) at points y of shape (..., 3)."""
+        """Value, gradient and Laplacian of the spatial factor at points y of
+        shape (..., 3)."""
         d = np.asarray(y, dtype=float) - np.asarray(self.center)
         d2 = _dot3(d, d)
-        S = self.amplitude * np.exp(-d2 / (2 * self.sigma**2))
+        S = np.exp(-d2 / (2 * self.sigma**2))
         grad = S[..., None] * (-d / self.sigma**2)
         lap = S * (d2 / self.sigma**4 - 3.0 / self.sigma**2)
         return S, grad, lap
@@ -540,13 +546,13 @@ class GaussianBump(_SpaceTimeProduct):
     @property
     def space_box(self):
         c = np.asarray(self.center)
-        return c - self.nsigma * self.sigma, c + self.nsigma * self.sigma
+        return c - NSIGMA * self.sigma, c + NSIGMA * self.sigma
 
     @property
     def time_window(self):
         return (
-            self.t_center - self.nsigma * self.sigma_t,
-            self.t_center + self.nsigma * self.sigma_t,
+            self.t_center - NSIGMA * self.sigma_t,
+            self.t_center + NSIGMA * self.sigma_t,
         )
 
 

@@ -40,6 +40,17 @@ class TestDeriveParams:
     def test_gamma_ceiling_at_zero(self):
         assert gamma_ceiling(0.0) == 1.0 / (2.0 * math.log(2.0))
 
+    def test_gamma_ok_follows_the_ceiling_of_m1(self):
+        # stored defaults once reported gamma_max = inf and gamma_ok = True here
+        p = IterationParams(0.5, 0.5, gamma=5.0, m1=0.1)
+        assert p.gamma_max == gamma_ceiling(0.1) and p.gamma_ok is False
+
+    @pytest.mark.parametrize("m, gamma", [(0.55, 0.5), (0.55, 0.71), (0.51, 0.1)])
+    def test_derived_ceiling_is_the_stored_one(self, m, gamma):
+        p = derive_iteration_params(m, gamma)
+        assert p.gamma_max == gamma_ceiling(2.0 * m - 1.0)
+        assert p.gamma_ok is (gamma < gamma_ceiling(2.0 * m - 1.0))
+
     @pytest.mark.parametrize("theta", [1.0, 0.0, -0.5, 1.5])
     def test_theta_outside_unit_interval(self, theta):
         with pytest.raises(DomainError, match="theta"):

@@ -191,6 +191,16 @@ class TestNormBits:
         assert np.array_equal(super(SteadyShearProfile, p).speed(pts, -1.0),
                               np.linalg.norm(p.velocity(pts, -1.0), axis=-1))
 
+    @pytest.mark.parametrize("amplitude", [1e-150, -3e-20, 0.7, 2.5, -1e150])
+    def test_shear_speed_is_the_closed_form(self, amplitude):
+        # sqrt(a**2) is |a| bit for bit while a**2 neither overflows nor underflows
+        for k in (0.5, 2.0, 7.0):
+            p = SteadyShearProfile(amplitude, k)
+            for r, n in ((0.125, 8), (1.0, 16), (3.0, 10)):
+                pts = ball_grid(r, n)[0]
+                want = np.abs(amplitude * np.sin(k * pts[..., 1]))
+                assert p.speed(pts, -1.0).tobytes() == want.tobytes()
+
 
 class TestSelfSimilar:
     @staticmethod

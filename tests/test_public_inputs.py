@@ -13,19 +13,22 @@ import cylscale
 
 from cylscale import (
     CylscaleError,
+    DiscreteSelfSimilarProfile,
     DomainError,
+    GaussianBump,
     IterationParams,
     PowerLawProfile,
+    RadiusError,
     ScalingSpec,
     SelfSimilarProfile,
-    cylinder_gradsq_integral,
+    closed_form_m_power_law,
     cylinder_power_integral,
     delta_interval,
     derive,
     derive_iteration_params,
     divergence_residual,
     dss_slab_bounds,
-    energy_quantities,
+    gamma_ceiling,
     growth_envelope,
     iterate_bound,
     lambda_for_rk,
@@ -36,6 +39,7 @@ from cylscale import (
 
 NAN, INF = math.nan, math.inf
 P = PowerLawProfile()
+U = lambda y: y
 
 CASES = {
     "derive-s-nan": lambda: derive(NAN, 2.8, 0.9),
@@ -50,15 +54,50 @@ CASES = {
     "spec-lam-nan": lambda: ScalingSpec("navier-stokes", NAN),
     "spec-lam-inf": lambda: ScalingSpec("navier-stokes", INF),
     "spec-euler-alpha-nan": lambda: ScalingSpec("euler", 0.5, alpha=NAN),
-    "m-mu-negative": lambda: m_quantity(P, 1, 2.8, 2.8, 0.9, mu=-1.0),
-    "power-mu-negative": lambda: cylinder_power_integral(P, "speed", 2.0, 1.0, 1.0, mu=-1.0),
-    "gradsq-mu-nan": lambda: cylinder_gradsq_integral(P, 1.0, 1.0, mu=NAN),
-    "report-mu-inf": lambda: energy_quantities(P, 1.0, derive(2.8, 2.8, 0.9), mu=INF),
     "mass-time-positive": lambda: sup_weighted_mass(P, 1.0, 1.0, times=[0.5]),
     "mass-time-before-base": lambda: sup_weighted_mass(P, 1.0, 1.0, times=[-1.5]),
     "mass-time-nan": lambda: sup_weighted_mass(P, 1.0, 1.0, times=[-0.5, NAN]),
     "radius-nan": lambda: sup_weighted_mass(P, NAN, 1.0),
     "radius-inf": lambda: cylinder_power_integral(P, "speed", 2.0, INF, 1.0),
+    # a bare ValueError (math domain error) at m1 <= -2, NaN at +-inf and NaN
+    "ceiling-m1-minus2": lambda: gamma_ceiling(-2.0),
+    "ceiling-m1-minus3": lambda: gamma_ceiling(-3.0),
+    "ceiling-m1-inf": lambda: gamma_ceiling(INF),
+    "ceiling-m1-minus-inf": lambda: gamma_ceiling(-INF),
+    "ceiling-m1-nan": lambda: gamma_ceiling(NAN),
+    "gamma-max-m1-nan": lambda: IterationParams(0.5, 0.5, m1=NAN).gamma_max,
+    # a negated balance, a ZeroDivisionError, a zero balance, NaNs
+    "bump-sigma-negative": lambda: GaussianBump(sigma=-0.5),
+    "bump-sigma-zero": lambda: GaussianBump(sigma=0.0),
+    "bump-sigma-inf": lambda: GaussianBump(sigma=INF),
+    "bump-sigma-t-zero": lambda: GaussianBump(sigma_t=0.0),
+    "bump-sigma-t-nan": lambda: GaussianBump(sigma_t=NAN),
+    "bump-center-nan": lambda: GaussianBump(center=(0.0, NAN, 0.0)),
+    "bump-t-center-inf": lambda: GaussianBump(t_center=-INF),
+    # a bare TypeError at the first evaluation, a ZeroDivisionError, silent NaNs
+    "similar-no-U": lambda: SelfSimilarProfile(alpha=1.5),
+    "similar-alpha-minus1": lambda: SelfSimilarProfile(alpha=-1.0, U=U),
+    "similar-alpha-nan": lambda: SelfSimilarProfile(alpha=NAN, U=U),
+    "similar-alpha-inf": lambda: SelfSimilarProfile(alpha=INF, U=U),
+    "discrete-no-U": lambda: DiscreteSelfSimilarProfile(alpha=1.5, S0=1.0),
+    "discrete-alpha-minus2": lambda: DiscreteSelfSimilarProfile(alpha=-2.0, U=U),
+    "discrete-S0-zero": lambda: DiscreteSelfSimilarProfile(S0=0.0, U=U),
+    "discrete-S0-negative": lambda: DiscreteSelfSimilarProfile(S0=-1.0, U=U),
+    "discrete-S0-nan": lambda: DiscreteSelfSimilarProfile(S0=NAN, U=U),
+    "discrete-S0-inf": lambda: DiscreteSelfSimilarProfile(S0=INF, U=U),
+    # 1.0**nan is 1.0, so M_att came back as M; s = 0 divided by zero
+    "m-m0-nan": lambda: m_quantity(P, 1.0, 2.8, 2.8, NAN),
+    "m-m0-zero": lambda: m_quantity(P, 1.0, 2.8, 2.8, 0.0),
+    "m-m0-above-one": lambda: m_quantity(P, 1.0, 2.8, 2.8, 1.5),
+    "m-s-zero": lambda: m_quantity(P, 1.0, 0.0, 2.8, 0.9),
+    "m-s-nan": lambda: m_quantity(P, 1.0, NAN, 2.8, 0.9),
+    "m-l-half": lambda: m_quantity(P, 1.0, 2.8, 0.5, 0.9),
+    "m-l-nan": lambda: m_quantity(P, 1.0, 2.8, NAN, 0.9),
+    "closed-s-zero": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 0.0, 2.8, 0.9, 1.0),
+    "closed-s-nan": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, NAN, 2.8, 0.9, 1.0),
+    "closed-l-nan": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, NAN, 0.9, 1.0),
+    "closed-m0-nan": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, 2.8, NAN, 1.0),
+    "closed-m0-negative": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, 2.8, -0.1, 1.0),
 }
 
 
@@ -66,6 +105,13 @@ CASES = {
 def test_bad_input_raises_typed_error(call):
     with pytest.raises(CylscaleError):
         call()
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, NAN, INF])
+def test_closed_form_radius_is_a_radius_error(R):
+    """R = 0 divided by zero, R < 0 returned a complex value, NaN and inf NaN."""
+    with pytest.raises(RadiusError):
+        closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, 2.8, 0.9, R)
 
 
 def _never(*args):

@@ -386,16 +386,16 @@ class TestGradedTimeRule:
                 assert np.array_equal(got, want)
 
 
-def _row_from_primitives(field, r, params, cfg, mu):
+def _row_from_primitives(field, r, params, cfg):
     m, m1 = float(params.m), float(params.m1)
-    power = lambda kind, p, w: cylinder_power_integral(field, kind, p, r, w, cfg, mu)
+    power = lambda kind, p, w: cylinder_power_integral(field, kind, p, r, w, cfg)
     Mk, Mk0 = m_quantity(field, r, float(params.s), float(params.l),
-                         float(params.m0), cfg, mu)
+                         float(params.m0), cfg)
     return {
-        "A": sup_weighted_mass(field, r, 1.0, cfg, mu),
-        "A_m1": sup_weighted_mass(field, r, m1, cfg, mu),
-        "E": cylinder_gradsq_integral(field, r, 1.0, cfg, mu),
-        "E_m": cylinder_gradsq_integral(field, r, m, cfg, mu),
+        "A": sup_weighted_mass(field, r, 1.0, cfg),
+        "A_m1": sup_weighted_mass(field, r, m1, cfg),
+        "E": cylinder_gradsq_integral(field, r, 1.0, cfg),
+        "E_m": cylinder_gradsq_integral(field, r, m, cfg),
         "C": power("speed", 3.0, 2.0), "C_mt": power("speed", 3.0, 2.0 * m),
         "D": power("pressure", 1.5, 2.0), "D_m": power("pressure", 1.5, 2.0 * m),
         "H": power("speed", 2.0, 3.0), "H_n": power("speed", 2.0, m + 2.0),
@@ -439,24 +439,24 @@ class TestSharedBackend:
 
     params = derive(2.8, 2.6, 0.9)
     routes = [
-        (_POWER_LAW, QuadratureConfig(), 1.0),
+        (_POWER_LAW, QuadratureConfig()),
         (_POWER_LAW, QuadratureConfig(n_radial=32, graded_levels=12,
-                                      radial_rule="graded", time_rule="graded"), 1.0),
+                                      radial_rule="graded", time_rule="graded")),
         (SteadyShearProfile(amplitude=1.5, wavenumber=2.0),
-         QuadratureConfig(n_space=10, n_time=4), 0.5),
-        (sample(_SmoothProfile(), CylinderSpec(1.0), 10, 8), QuadratureConfig(), 1.0),
+         QuadratureConfig(n_space=10, n_time=4)),
+        (sample(_SmoothProfile(), CylinderSpec(1.0), 10, 8), QuadratureConfig()),
     ]
     ids = ["exact", "graded", "cartesian", "grid"]
 
-    @pytest.mark.parametrize("field, cfg, mu", routes, ids=ids)
-    def test_row_equals_primitives(self, field, cfg, mu):
+    @pytest.mark.parametrize("field, cfg", routes, ids=ids)
+    def test_row_equals_primitives(self, field, cfg):
         for r in (0.5, 1.0):
-            row = energy_quantities(field, r, self.params, cfg, mu)
-            for name, want in _row_from_primitives(field, r, self.params, cfg, mu).items():
+            row = energy_quantities(field, r, self.params, cfg)
+            for name, want in _row_from_primitives(field, r, self.params, cfg).items():
                 assert getattr(row, name) == want, (r, name)
 
-    @pytest.mark.parametrize("field, cfg, mu", routes, ids=ids)
-    def test_ratios_equal_primitives(self, field, cfg, mu):
+    @pytest.mark.parametrize("field, cfg", routes, ids=ids)
+    def test_ratios_equal_primitives(self, field, cfg):
         got = inequality_ratios(field, 0.3, 0.5, self.params, cfg)
         for name, want in _ratios_from_primitives(field, 0.3, 0.5, self.params,
                                                   cfg).items():
@@ -527,8 +527,7 @@ class TestTestFunctions:
         q = np.einsum("ij,ij->i", d, d) / (2 * self.bump.sigma**2)
         for tau in taus:
             qt = (tau - self.bump.t_center) ** 2 / (2 * self.bump.sigma_t**2)
-            np.testing.assert_allclose(self.bump.value(y, tau),
-                                       self.bump.amplitude * np.exp(-q - qt),
+            np.testing.assert_allclose(self.bump.value(y, tau), np.exp(-q - qt),
                                        rtol=1e-14)
 
     def test_exponential_weighting_chain_rule(self):
