@@ -42,6 +42,10 @@ class IterationParams:
     def __post_init__(self):
         if not 0 < self.theta < 1:
             raise DomainError(f"theta must lie in (0,1), got {self.theta}")
+        if not (math.isfinite(self.beta) and 0 <= self.C_force < math.inf
+                and 0 <= self.gamma < math.inf):
+            raise DomainError(f"need finite beta and finite C_force, gamma >= 0, got {self}")
+        gamma_ceiling(self.m1)  # the one check that m1 is finite and exceeds -2
 
     @property
     def gamma_max(self) -> float:

@@ -205,6 +205,8 @@ def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
 def _check_radius(field, r: float):
     if not 0 < r < math.inf:
         raise RadiusError(f"radius must be positive and finite, got {r}")
+    if r * r == 0:
+        raise RadiusError(f"radius {r} is too small: its square underflows to 0")
     if isinstance(field, GridField) and r > field.cylinder.space_radius * (1 + 1e-12):
         raise RadiusError(f"radius {r} exceeds the field cylinder "
                           f"{field.cylinder.space_radius}")

@@ -480,10 +480,18 @@ def test_overflow_prints_only_its_error_line(tmp_path, argv):
 
 def test_radius_without_time_samples_exits_invalid(tmp_path, capsys):
     # r = 5e-324 squares to 0, so no matched time sample lies in (-r^2, 0);
-    # np.max of the empty list once raised a bare ValueError
+    # np.max of the empty list once raised a bare ValueError, and the radius
+    # is now refused before any time sample is sought
     argv = ("scale-check", "scale.kind=euler", "ladder.start=5e-324")
     assert run(tmp_path, *argv) == EXIT_INVALID
-    assert "no time samples" in capsys.readouterr().err
+    assert "RadiusError: radius 5e-324 " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_radius_whose_square_underflows_exits_invalid(tmp_path, capsys):
+    # r**2 = 0 once ended in a SingularPointError on "t=-0.0"
+    assert run(tmp_path, "quantities", "ladder.start=1e-200") == EXIT_INVALID
+    assert "RadiusError: radius 1e-200 " in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -36,6 +36,7 @@ from cylscale import (
     steady_to_discrete,
     write_grid_csv,
 )
+from cylscale import fields
 from cylscale.fields import _norm3
 from cylscale.quadrature import ball_grid
 
@@ -399,7 +400,7 @@ class TestGrid:
         # subnormal, signed zero, exponent forms and long mantissas, with lam,
         # mu != 1 and Nt != N
         edges = [5e-324, -0.0, 1e16, 1e-05, 123456789.123, -5e-324, -1e16, -1e-05,
-                 -123456789.123, 0.1, -2.5]
+                 -123456789.123, 0.1, -2.5, 0.0]
         values = np.resize(edges, (2, 3, 3, 3, 4))
         f = GridField(CylinderSpec(0.5, lam=0.7, mu=1.3), 3, 2,
                       np.ascontiguousarray(values[..., :3]),
@@ -418,6 +419,20 @@ class TestGrid:
         for name in ("cylinder", "n_space", "n_time", "radial_power", "time_power",
                      "div_residual"):
             assert getattr(g, name) == getattr(f, name)
+
+    def test_csv_all_distinct_values(self, tmp_path, monkeypatch):
+        # every sample its own bit pattern: no repr is shared between cells
+        values = np.random.default_rng(7).standard_normal((3, 4, 4, 4, 4))
+        f = GridField(CylinderSpec(1.0), 4, 3, np.ascontiguousarray(values[..., :3]),
+                      np.ascontiguousarray(values[..., 3]))
+        assert len(np.unique(values)) == values.size
+        monkeypatch.setitem(globals(), "sample", lambda *args: f)
+        self.test_csv_matches_per_row_repr_writer(tmp_path)
+
+    def test_csv_rows_cross_block_boundaries(self, tmp_path, monkeypatch):
+        # 64 rows per slice in blocks of 5: twelve full blocks and a partial one
+        monkeypatch.setattr(fields, "_CSV_BLOCK", 5)
+        self.test_csv_matches_per_row_repr_writer(tmp_path)
 
     def test_grid_field_immutable(self):
         f = sample(SteadyShearProfile(1.0, 2.0), CylinderSpec(1.0), 4, 2)

@@ -12,6 +12,7 @@ import pytest
 import cylscale
 
 from cylscale import (
+    ConstantProfile,
     CylscaleError,
     DiscreteSelfSimilarProfile,
     DomainError,
@@ -21,6 +22,7 @@ from cylscale import (
     RadiusError,
     ScalingSpec,
     SelfSimilarProfile,
+    SteadyShearProfile,
     closed_form_m_power_law,
     cylinder_power_integral,
     delta_interval,
@@ -28,6 +30,7 @@ from cylscale import (
     derive_iteration_params,
     divergence_residual,
     dss_slab_bounds,
+    energy_quantities,
     gamma_ceiling,
     growth_envelope,
     iterate_bound,
@@ -59,6 +62,11 @@ CASES = {
     "mass-time-nan": lambda: sup_weighted_mass(P, 1.0, 1.0, times=[-0.5, NAN]),
     "radius-nan": lambda: sup_weighted_mass(P, NAN, 1.0),
     "radius-inf": lambda: cylinder_power_integral(P, "speed", 2.0, INF, 1.0),
+    # r**2 underflows to 0: a SingularPointError on t, an OverflowError, a silent 0.0
+    "radius-square-underflow": lambda: energy_quantities(P, 1e-200, derive(2.8, 2.8, 0.9)),
+    "radius-square-underflow-shear":
+        lambda: energy_quantities(SteadyShearProfile(), 1e-200, derive(2.8, 2.8, 0.9)),
+    "radius-square-underflow-mass": lambda: sup_weighted_mass(ConstantProfile(), 1e-200, 1.0),
     # a bare ValueError (math domain error) at m1 <= -2, NaN at +-inf and NaN
     "ceiling-m1-minus2": lambda: gamma_ceiling(-2.0),
     "ceiling-m1-minus3": lambda: gamma_ceiling(-3.0),
@@ -66,6 +74,18 @@ CASES = {
     "ceiling-m1-minus-inf": lambda: gamma_ceiling(-INF),
     "ceiling-m1-nan": lambda: gamma_ceiling(NAN),
     "gamma-max-m1-nan": lambda: IterationParams(0.5, 0.5, m1=NAN).gamma_max,
+    # a directly built IterationParams gave NaN or negative bounds
+    "params-beta-nan": lambda: IterationParams(0.5, NAN),
+    "params-beta-inf": lambda: IterationParams(0.5, INF),
+    "params-C-negative": lambda: IterationParams(0.5, 0.5, C_force=-1.0),
+    "params-C-nan": lambda: IterationParams(0.5, 0.5, C_force=NAN),
+    "params-C-inf": lambda: IterationParams(0.5, 0.5, C_force=INF),
+    "params-gamma-negative": lambda: IterationParams(0.5, 0.5, gamma=-0.1),
+    "params-gamma-nan": lambda: IterationParams(0.5, 0.5, gamma=NAN),
+    "params-gamma-inf": lambda: IterationParams(0.5, 0.5, gamma=INF),
+    "params-m1-nan": lambda: iterate_bound(IterationParams(0.5, 0.5, m1=NAN), 2.0, 2),
+    "params-m1-inf": lambda: IterationParams(0.5, 0.5, m1=INF),
+    "params-m1-minus2": lambda: IterationParams(0.5, 0.5, m1=-2.0),
     # a negated balance, a ZeroDivisionError, a zero balance, NaNs
     "bump-sigma-negative": lambda: GaussianBump(sigma=-0.5),
     "bump-sigma-zero": lambda: GaussianBump(sigma=0.0),
@@ -112,6 +132,12 @@ def test_closed_form_radius_is_a_radius_error(R):
     """R = 0 divided by zero, R < 0 returned a complex value, NaN and inf NaN."""
     with pytest.raises(RadiusError):
         closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, 2.8, 0.9, R)
+
+
+@pytest.mark.parametrize("key", [k for k in CASES if k.startswith("radius-square")])
+def test_radius_whose_square_underflows_is_a_radius_error(key):
+    with pytest.raises(RadiusError, match="radius 1e-200 "):
+        CASES[key]()
 
 
 def _never(*args):
