@@ -10,6 +10,7 @@ scaling identities survive discretization to rounding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -146,67 +147,75 @@ def _grid_times_in(field: GridField, T: float):
     return idx, field.cylinder.time_depth / field.n_time
 
 
-def _grid_shells(field: GridField):
-    """(shell_d2, shell_of_cell): the distinct squared centre distances in
-    increasing order and each cell's index into them, built once per field."""
+def _grid_gradsq(field: GridField) -> np.ndarray:
+    """|grad v|^2 per cell, shape (Nt, N, N, N), in the bits of np.gradient's
+    uniform-step differences summed component by component, axis by axis."""
+    h, n = field.cell_size, field.n_space
+    g = np.zeros(field.pressure.shape)
+    d = np.empty_like(g)
+    for comp in range(3):
+        u = np.ascontiguousarray(field.velocity[..., comp])
+        uf, df = u.reshape(-1), d.reshape(-1)
+        for ax in (1, 2, 3):
+            # central differences at flat stride s in one contiguous pass; they
+            # are right off the axis's edge planes, which get one-sided ones
+            s, at = u.strides[ax] // u.itemsize, (slice(None),) * ax
+            np.subtract(uf[2 * s:], uf[:-2 * s], out=df[s:-s])
+            df[s:-s] /= 2. * h
+            np.subtract(u[at + (1,)], u[at + (0,)], out=d[at + (0,)])
+            np.subtract(u[at + (-1,)], u[at + (-2,)], out=d[at + (-1,)])
+            d[at + (slice(None, None, n - 1),)] /= h  # planes 0 and n - 1
+            g += np.square(d, out=d)
+    return g
+
+
+def _grid_tables(field: GridField, keys) -> None:
+    """Reduce each moment key the field lacks to an (Nt, n_shells + 1) table of
+    prefix sums over the radius shells.  One |v| pass serves every speed key;
+    like every per-cell array it is dropped once the tables are built."""
     cache = field._ball_cache
     if "shells" not in cache:
+        # the distinct squared centre distances and each cell's index into
+        # them, summed in the order of xx**2 + yy**2 + zz**2 over a meshgrid,
+        # so the strict test d2 < r**2 picks the cells a meshgrid mask would
         a2 = field.space_axis**2
-        # summed in the order of xx**2 + yy**2 + zz**2 over a meshgrid, so
-        # the strict test d2 < r**2 picks the cells a meshgrid mask would
         d2 = a2[:, None, None] + a2[None, :, None] + a2[None, None, :]
         cache["shells"] = np.unique(d2.ravel(), return_inverse=True)
-    return cache["shells"]
-
-
-def _grid_cell_moment(field: GridField, key) -> np.ndarray:
-    """Per-cell values of a moment key, shape (Nt, N, N, N).
-
-    Keys: ("speed", p) for |v|^p, ("pressure", p) for |q|^p and ("gradsq",)
-    for |grad v|^2 by centered differences.
-    """
-    if key[0] == "gradsq":
-        h = field.cell_size
-        g = np.zeros(field.pressure.shape)
-        for comp in range(3):
-            u = np.ascontiguousarray(field.velocity[..., comp])  # faster gradients
-            for ax in (1, 2, 3):
-                d = np.gradient(u, h, axis=ax)
-                g += np.square(d, out=d)
-        return g
-    kind, p = key
-    v = field.velocity
-    cells = np.sqrt(_dot3(v, v)) if kind == "speed" else np.abs(field.pressure)
-    cells **= p  # in place: the same power as cells ** p, one array fewer
-    return cells
+    shell_d2, shell_of_cell = cache["shells"]
+    nt, ns = field.n_time, shell_d2.size
+    speed = bins = None
+    for key in keys:
+        if key in cache:
+            continue
+        if key[0] == "gradsq":
+            cells = _grid_gradsq(field)
+        elif key[0] == "speed":
+            if speed is None:
+                speed = np.sqrt(_dot3(field.velocity, field.velocity))
+            cells = speed ** key[1]
+        else:
+            cells = np.abs(field.pressure) ** key[1]
+        if bins is None:  # after the first cells: a lower peak
+            bins = (np.arange(nt)[:, None] * ns + shell_of_cell).ravel()
+        # bins (time, shell): each adds its cells in a per-slice bincount's order
+        sums = np.bincount(bins, weights=cells.ravel(), minlength=nt * ns)
+        table = np.zeros((nt, ns + 1))
+        np.cumsum(sums.reshape(nt, ns), axis=1, out=table[:, 1:])
+        cache[key] = table
 
 
 def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
-    """Per-time-sample integral over B(r) of a moment, from the grid's cells.
-
-    Each moment is reduced once per field to an (Nt, n_shells + 1) table of
-    prefix sums over the radius shells; a ball sum is one column of it.
-    """
-    shell_d2, shell_of_cell = _grid_shells(field)
-    table = field._ball_cache.get(key)
-    if table is None:
-        nt, ns = field.n_time, shell_d2.size
-        cells = _grid_cell_moment(field, key).ravel()  # before the bins: a lower peak
-        # bins (time, shell): each adds its cells in a per-slice bincount's order
-        sums = np.bincount((np.arange(nt)[:, None] * ns + shell_of_cell).ravel(),
-                           weights=cells, minlength=nt * ns)
-        table = np.zeros((nt, ns + 1))
-        np.cumsum(sums.reshape(nt, ns), axis=1, out=table[:, 1:])
-        field._ball_cache[key] = table
-    k = np.searchsorted(shell_d2, r**2, side="left")
-    return table[:, k] * field.cell_size**3
+    """Per-time-sample integrals over B(r) of a moment: a column of its table."""
+    _grid_tables(field, (key,))
+    k = np.searchsorted(field._ball_cache["shells"][0], r**2, side="left")
+    return field._ball_cache[key][:, k] * field.cell_size**3
 
 
 def _check_radius(field, r: float):
     if not 0 < r < math.inf:
         raise RadiusError(f"radius must be positive and finite, got {r}")
-    if r * r == 0:
-        raise RadiusError(f"radius {r} is too small: its square underflows to 0")
+    if r * r * r < sys.float_info.min:
+        raise RadiusError(f"radius {r} is too small: r**3 is below the smallest normal float")
     if isinstance(field, GridField) and r > field.cylinder.space_radius * (1 + 1e-12):
         raise RadiusError(f"radius {r} exceeds the field cylinder "
                           f"{field.cylinder.space_radius}")
@@ -228,7 +237,10 @@ def _check_mixed(field, R: float, s: float, l: float, m0: float):
 
 def _weighted(r: float, weight: float, value) -> float:
     S, dt = value
-    return r ** (-weight) * S * dt
+    try:
+        return math.pow(r, -weight) * S * dt
+    except OverflowError:
+        raise RadiusError(f"radius {r} is too small: r**-{weight} overflows") from None
 
 
 def _mass_sup(field, r: float, cfg: QuadratureConfig,
@@ -394,6 +406,9 @@ def energy_quantities(field, r: float, params: ExponentParams,
     _check_radius(field, r)
     m = float(params.m)
     m1 = float(params.m1)
+    if isinstance(field, GridField):  # the row's tables at once, from one |v| pass
+        _grid_tables(field, (("gradsq",), ("pressure", 1.5), ("speed", 2.0),
+                             ("speed", 3.0), ("speed", float(params.s))))
     A = _mass_sup(field, r, cfg)
     E = _cylinder_integral(field, ("gradsq",), r, cfg)
     C = _cylinder_integral(field, ("speed", 3.0), r, cfg)

@@ -140,6 +140,22 @@ def test_radius_whose_square_underflows_is_a_radius_error(key):
         CASES[key]()
 
 
+@pytest.mark.parametrize("weight", [1.0, 3.0])
+def test_radius_whose_ball_volume_is_subnormal_is_a_radius_error(weight):
+    """r**3 = 1e-330 is below the smallest normal float: the weighted mass came
+    back as 0.0 at weight 1.0 and a bare OverflowError from r**-3.0 at 3.0."""
+    with pytest.raises(RadiusError, match="radius 1e-110 "):
+        sup_weighted_mass(ConstantProfile(), 1e-110, weight)
+
+
+def test_weight_that_overflows_is_a_radius_error():
+    # r**-3.0 = 1e300 is finite, r**-4.0 = 1e400 is not
+    assert sup_weighted_mass(ConstantProfile(), 1e-100, 3.0) == pytest.approx(
+        4.0 * math.pi / 3.0, rel=1e-14)
+    with pytest.raises(RadiusError, match=r"radius 1e-100 .*r\*\*-4.0 overflows"):
+        sup_weighted_mass(ConstantProfile(), 1e-100, 4.0)
+
+
 def _never(*args):
     raise AssertionError("evaluated before the inputs were checked")
 

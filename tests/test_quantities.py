@@ -251,6 +251,28 @@ def _grid_primitives(field, r, s, l, m0):
     }
 
 
+def _per_slice_tables(field, speed_powers):
+    """Reference: each report moment's (Nt, n_shells + 1) prefix-sum table, from
+    np.gradient and einsum cells and one bincount per time slice."""
+    shell_d2, shell_of_cell = field._ball_cache["shells"]
+    v, h = field.velocity, field.cell_size
+    gradsq = np.zeros(field.pressure.shape)
+    for comp in range(3):
+        for ax in (1, 2, 3):
+            d = np.gradient(v[..., comp], h, axis=ax)
+            gradsq += d * d
+    cells = {("gradsq",): gradsq, ("pressure", 1.5): np.abs(field.pressure) ** 1.5}
+    for p in speed_powers:
+        cells["speed", p] = np.sqrt(np.einsum("...i,...i->...", v, v)) ** p
+    tables = {}
+    for key, values in cells.items():
+        tables[key] = np.zeros((field.n_time, shell_d2.size + 1))
+        for j in range(field.n_time):
+            tables[key][j, 1:] = np.cumsum(np.bincount(
+                shell_of_cell, weights=values[j].ravel(), minlength=shell_d2.size))
+    return tables
+
+
 def _exact_cell_radius(field, lo):
     """A cell-centre distance r > lo with r**2 equal to that cell's d2."""
     a2 = field.space_axis**2
@@ -305,6 +327,34 @@ class TestGridBallLookup:
                 want[j, 1:] = np.cumsum(np.bincount(shell_of_cell, weights=values[j].ravel(),
                                                     minlength=shell_d2.size))
             assert f._ball_cache[key].tobytes() == want.tobytes(), key
+
+    @pytest.mark.parametrize("n, nt, profile, sl", [
+        # every cell lies on an edge plane, where the differences are one-sided
+        (2, 2, PowerLawProfile(c=1.1, alpha_p=0.45, gamma_p=1.25, pressure_coeff=0.6), sl),
+        (3, 2, _SmoothProfile(), sl),
+        # s = 3.0, as in grid_ladder: ("speed", s) and ("speed", 3.0) are one table
+        (12, 8, PowerLawProfile(c=1.1, alpha_p=0.45, gamma_p=1.25, pressure_coeff=0.6),
+         (3.0, 2.5, 0.85)),
+    ])
+    def test_edge_sizes_and_coinciding_speed_keys_equal_per_slice_bincounts(
+            self, n, nt, profile, sl):
+        # radius 1.5, so that no cell size is 1.0; Nt=2 has no time sample below r=0.86
+        f = sample(profile, CylinderSpec(1.5, mu=1.3), n, nt)
+        quantity_report(f, (1.0, 1.5), derive(*sl))
+        want = _per_slice_tables(f, (2.0, 3.0, sl[0]))
+        assert set(f._ball_cache) == {"shells", *want}
+        for key, table in want.items():
+            assert f._ball_cache[key].tobytes() == table.tobytes(), key
+
+    def test_no_per_cell_array_outlives_a_report(self):
+        f = sample(_SmoothProfile(), CylinderSpec(1.0), 8, 4)
+        attrs = set(vars(f))
+        quantity_report(f, (0.75, 1.0), derive(*self.sl))
+        n_shells = f._ball_cache["shells"][0].size
+        tables = [v for k, v in f._ball_cache.items() if k != "shells"]
+        assert len(tables) == 5
+        assert all(t.shape == (f.n_time, n_shells + 1) for t in tables)
+        assert set(vars(f)) == attrs
 
     def test_builds_only_requested_moments(self):
         f = sample(_SmoothProfile(), CylinderSpec(1.0), 8, 4)
