@@ -118,16 +118,12 @@ def forcing_term(params: IterationParams, R: float, k: int) -> float:
 
 @dataclass
 class IterationTrace:
-    params: IterationParams
-    R: float
     ks: list = dc_field(default_factory=list)
     profile_terms: list = dc_field(default_factory=list)
     forcing_terms: list = dc_field(default_factory=list)
     bounds: list = dc_field(default_factory=list)
     case_tag: str = ""
     verdict: str = "inconclusive"
-
-    CSV_COLUMNS = ("k", "profile_term", "forcing_term", "bound")
 
 
 def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTrace:
@@ -141,7 +137,7 @@ def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTra
         raise DomainError(f"need finite R >= 1, got {R}")
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
-    trace = IterationTrace(params=params, R=R, case_tag=params.case_tag)
+    trace = IterationTrace(case_tag=params.case_tag)
     rho = params.contraction
     C = params.C_force
     for k in range(k_max + 1):
@@ -191,8 +187,8 @@ def growth_envelope(u: Callable, exponent: float,
     of sup-boundedness on the ladder.
     """
     ladder = [float(b) for b in ladder]
-    if not all(0 < b < math.inf for b in ladder):
-        raise DomainError(f"ladder values must be positive and finite, got {ladder}")
+    if len(ladder) < 2 or not all(0 < b < math.inf for b in ladder):
+        raise DomainError(f"need two or more ladder values, positive and finite, got {ladder}")
     if any(b2 <= b1 for b1, b2 in zip(ladder, ladder[1:])):
         raise DomainError("ladder must be strictly increasing")
     masses = []
@@ -347,8 +343,8 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
     alpha = profile.alpha
     m1 = 2.0 * m - 1.0
     ladder = [float(R) for R in ladder]
-    if not ladder or not n_tau >= 1:
-        raise DomainError(f"need a non-empty ladder and n_tau >= 1, got {ladder}, {n_tau}")
+    if len(ladder) < 2 or not n_tau >= 1:
+        raise DomainError(f"need two or more ladder radii and n_tau >= 1, got {ladder}, {n_tau}")
     r_min = math.exp(2.0 * S0 / (1.0 + alpha))
     if min(ladder) <= r_min:
         raise DomainError(

@@ -72,6 +72,12 @@ DEFAULTS = {
     "run.tolerance": "1e-9",
 }
 
+#: CSV columns of the artifacts built from report rows
+QUANTITY_COLUMNS = ("r", "A", "E", "C", "D", "H", "A_m1", "E_m", "D_m", "C_mt",
+                    "M_kappa", "M_kappa_m0", "calE")
+INVARIANCE_COLUMNS = ("relation", "a", "lhs", "rhs", "slack", "tolerance", "pass")
+ITERATE_COLUMNS = ("k", "profile_term", "forcing_term", "bound")
+
 #: largest iterate.k_max accepted; 100,000 steps write about 4 MB of CSV
 K_MAX_LIMIT = 100_000
 #: largest ladder.count accepted; a default suite spends about 1.6 ms of CPU per radius
@@ -304,13 +310,12 @@ def cmd_construct(cfg: RunConfig, outdir: Path, fmt: str) -> int:
 def cmd_quantities(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     report = qt.quantity_report(cfg.profile(), cfg.ladder(), cfg.exponents(),
                                 cfg.quadrature())
-    rows = list(report.to_csv_rows())
+    rows = [[getattr(row, c) for c in QUANTITY_COLUMNS] for row in report.rows]
     payload = {
-        "rows": [dict(zip(qt.QuantityReport.CSV_COLUMNS, [_num(v) for v in r]))
-                 for r in rows],
+        "rows": [dict(zip(QUANTITY_COLUMNS, [_num(v) for v in r])) for r in rows],
         "type1_sup": report.type1_sup,
     }
-    _emit(cfg, outdir, "quantities", fmt, qt.QuantityReport.CSV_COLUMNS, rows, payload)
+    _emit(cfg, outdir, "quantities", fmt, QUANTITY_COLUMNS, rows, payload)
     return EXIT_OK
 
 
@@ -326,10 +331,10 @@ def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     csv_rows = [[r.relation, r.a, r.lhs, r.rhs, r.slack, r.tolerance, r.passed]
                 for r in rows]
     payload = {
-        "rows": [dict(zip(sc.INVARIANCE_COLUMNS, row)) for row in csv_rows],
+        "rows": [dict(zip(INVARIANCE_COLUMNS, row)) for row in csv_rows],
         "all_pass": all(r.passed for r in rows),
     }
-    _emit(cfg, outdir, "scale_check", fmt, sc.INVARIANCE_COLUMNS, csv_rows, payload)
+    _emit(cfg, outdir, "scale_check", fmt, INVARIANCE_COLUMNS, csv_rows, payload)
     return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC
 
 
@@ -360,7 +365,7 @@ def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         "final_bound": trace.bounds[-1],
         "final_forcing": trace.forcing_terms[-1],
     }
-    _emit(cfg, outdir, "iterate", fmt, asy.IterationTrace.CSV_COLUMNS, rows, payload)
+    _emit(cfg, outdir, "iterate", fmt, ITERATE_COLUMNS, rows, payload)
     return EXIT_OK
 
 
@@ -418,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", type=Path, default=None,
                     help=f"output directory (default ${OUT_ENV} or cwd)")
     ap.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    ap.add_argument("--tolerance", default=None, help="sets run.tolerance")
     return ap
 
 
@@ -437,8 +441,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"override must be key=value, got {item!r}")
             key, val = item.split("=", 1)
             entries[key.strip()] = val.strip()
-        if args.tolerance is not None:
-            entries["run.tolerance"] = args.tolerance
         cfg = RunConfig(entries)
         outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
         outdir.mkdir(parents=True, exist_ok=True)

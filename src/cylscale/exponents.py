@@ -308,6 +308,12 @@ def _construct_on_pairs(m0, a, delta):
     )
 
 
+def _radius_exponent(k, m0, a, gamma, s, l):
+    """Exponent of R in the attenuated mixed norm of the power-law profile of
+    speed exponents (a, gamma), k = kappa(s, l); a construction makes it zero."""
+    return -k * m0 + (2 - (1 - a) * gamma * l) + (3 - a * s * gamma) * l / s
+
+
 def _finish_construction(m0, a, delta, interval, inv_s, inv_l, branch):
     # written on 1/s and 1/l, whose rational denominators stay small
     if not (0 < inv_s <= 1 and 0 < inv_l <= 1):
@@ -317,8 +323,6 @@ def _finish_construction(m0, a, delta, interval, inv_s, inv_l, branch):
     k = mid / inv_l  # kappa(s, l)
     gamma = mid * (1 - m0) + 1
     time_gamma = (1 - a) * gamma  # the profile's time exponent is -time_gamma/2
-    # radius exponent of the attenuated mixed norm of the profile
-    certificate = -k * m0 + (2 - time_gamma * l) + (3 - a * s * gamma) * l / s
     integrable = inv_l > time_gamma / 2 and inv_s > gamma * a / 3
     strong = _HALF + max(inv_l / 2, _HALF - inv_l) < mid < 1  # strong_admissibility(s, l)
     edge_check = None
@@ -335,7 +339,7 @@ def _finish_construction(m0, a, delta, interval, inv_s, inv_l, branch):
         l=l,
         gamma=gamma,
         kappa=k,
-        exponent_certificate=certificate,
+        exponent_certificate=_radius_exponent(k, m0, a, gamma, s, l),
         integrable=integrable,
         strong_admissible=strong,
         branch=branch,

@@ -98,7 +98,7 @@ class Profile:
         raise NotImplementedError
 
     def pressure(self, x: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return np.zeros(np.shape(x)[:-1])
 
     def speed(self, x: np.ndarray, t: float) -> np.ndarray:
         return _norm3(self.velocity(x, t))
@@ -227,10 +227,6 @@ class ConstantProfile(Profile):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.asarray(self.c3, dtype=float), x.shape).copy()
 
-    def pressure(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
     def grad_norm_sq(self, x, t):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
@@ -250,10 +246,6 @@ class SteadyShearProfile(Profile):
         out = np.zeros_like(x)
         out[..., 0] = self.amplitude * np.sin(self.wavenumber * x[..., 1])
         return out
-
-    def pressure(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
 
     def grad_norm_sq(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -287,7 +279,7 @@ class _SimilarityForm(Profile):
         y = _similarity_point(self.alpha, x, t)
         if self.P is None:
             return np.zeros(y.shape[:-1])
-        scale = (-t) ** (-2 * self.alpha / (self.alpha + 1))
+        scale = (-t) ** (2 * self.time_power)
         return scale * np.asarray(self.P(y, *self._extra(t)), dtype=float)
 
 

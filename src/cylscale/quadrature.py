@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError
-from .fields import _dot3
+from .fields import _cell_centres, _dot3
 
 FOUR_PI = 4.0 * np.pi
 _GL2 = 1.0 / np.sqrt(3.0)  # two-point Gauss nodes at +- 1/sqrt(3)
@@ -141,8 +141,7 @@ def graded_time_quadrature(f, T: float, cfg: QuadratureConfig) -> float:
 @lru_cache(maxsize=8)
 def _unit_ball_grid(n: int):
     """Cell centers of the n^3 grid on [-1,1]^3 that lie inside the unit ball."""
-    h = 2.0 / n
-    axis = -1.0 + h * (np.arange(n) + 0.5)
+    axis = _cell_centres(-1.0, 2.0, n)
     xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=-1)
     mask = _dot3(pts, pts) < 1.0

@@ -23,7 +23,7 @@ from .errors import (
     ResolutionError,
     SupportError,
 )
-from .exponents import ExponentParams, kappa
+from .exponents import ExponentParams, _radius_exponent, kappa
 from .fields import GridField, Profile, SelfSimilarProfile, _dot3
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -75,14 +75,10 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
         if coef == 0.0:
             return 0.0
         if cfg.radial_rule == "exact":
-            return (
-                FOUR_PI
-                * coef**p
-                * power_radial_integral(a * p, r)
-                * (-t) ** (b * p)
-            )
-        nodes, weights = graded_nodes(r, cfg.n_radial, cfg.graded_levels)
-        radial = float(np.sum(weights * nodes ** (2 + a * p)))
+            radial = power_radial_integral(a * p, r)
+        else:
+            nodes, weights = graded_nodes(r, cfg.n_radial, cfg.graded_levels)
+            radial = float(np.sum(weights * nodes ** (2 + a * p)))
         return FOUR_PI * coef**p * radial * (-t) ** (b * p)
     pts, w = ball_grid(r, cfg.n_space)
     cells = {} if cells is None else cells
@@ -279,7 +275,10 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     sep = _separable_powers(field, "pressure" if key[0] == "pressure" else "speed")
     power = l if l is not None else key[1] if len(key) > 1 else 2
     e = None if sep is None else sep[2] * power
-    return _time_integrate(G, e, T, cfg, field.steady), 1.0
+    value = _time_integrate(G, e, T, cfg, field.steady)
+    if value < sys.float_info.min and T * r**3 < sys.float_info.min:  # |Q(r)| underflows too
+        raise RadiusError(f"radius {r} is too small: the integral over Q(r) underflows")
+    return value, 1.0
 
 
 def sup_weighted_mass(field, r: float, weight: float,
@@ -342,12 +341,7 @@ def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
     bl = -(1 - alpha_p) * gamma_p * l / 2.0
     time_factor = power_time_integral(bl, R**2)
     value = c**l * (FOUR_PI * radial) ** (l / s) * time_factor * R ** (-k * m0)
-    r_exponent = (
-        -k * m0
-        + (2.0 - (1 - alpha_p) * gamma_p * l)
-        + (3.0 - alpha_p * s * gamma_p) * l / s
-    )
-    return value, r_exponent
+    return value, _radius_exponent(k, m0, alpha_p, gamma_p, s, l)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +379,6 @@ class QuantityReport:
     def type1_sup(self) -> float:
         """The largest A, E or C over the rows; 0.0 without rows."""
         return max((max(row.A, row.E, row.C) for row in self.rows), default=0.0)
-
-    CSV_COLUMNS = (
-        "r", "A", "E", "C", "D", "H", "A_m1", "E_m", "D_m", "C_mt",
-        "M_kappa", "M_kappa_m0", "calE",
-    )
-
-    def to_csv_rows(self):
-        for row in self.rows:
-            yield [getattr(row, c) for c in self.CSV_COLUMNS]
 
 
 def energy_quantities(field, r: float, params: ExponentParams,

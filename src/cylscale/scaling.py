@@ -161,9 +161,6 @@ class InvarianceRow:
     passed: bool
 
 
-INVARIANCE_COLUMNS = ("relation", "a", "lhs", "rhs", "slack", "tolerance", "pass")
-
-
 def _rel_slack(lhs: float, rhs: float) -> float:
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
@@ -206,13 +203,10 @@ def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
     al = float(spec.alpha)
     if la > 1:
         raise GeometryError("inviscid transfer bounds need lam <= 1")
-    mu_shrunk = la ** (al - 1.0)
+    # the shrunk time base embeds in Q(lam*a), whatever a, only for alpha >= 1
+    if la ** (al - 1.0) > 1 + 1e-12:
+        raise GeometryError("scaled time base exceeds the reference cylinder (alpha < 1)")
     for a in radii:
-        # the shrunk time base embeds in Q(lam*a) only for alpha >= 1
-        if mu_shrunk > 1 + 1e-12:
-            raise GeometryError(
-                "scaled time base exceeds the reference cylinder (alpha < 1)"
-            )
         # matched time samples: preimages of the reference samples that land
         # inside the shrunk base, so the discrete sup compares subsets
         t_ref = centered_times((la * a) ** 2, cfg.n_time)

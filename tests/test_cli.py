@@ -150,7 +150,7 @@ class TestScaleCheckAndQuantities:
         # the graded-quadrature route where rounding exceeds it.
         code = run(tmp_path, "scale-check", "quadrature.radial_rule=graded",
                    "quadrature.time_rule=graded", "quadrature.graded_levels=6",
-                   "--tolerance", "1e-15")
+                   "run.tolerance=1e-15")
         assert code in (EXIT_OK, EXIT_NUMERIC)
         rec = read_json(tmp_path, "scale_check")
         assert (code == EXIT_OK) == rec["all_pass"]
@@ -263,7 +263,7 @@ class TestSuite:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_suite_with_an_unmet_tolerance_writes_every_artifact(self, tmp_path):
-        assert run(tmp_path, "suite", "--tolerance", "1e-300") == EXIT_NUMERIC
+        assert run(tmp_path, "suite", "run.tolerance=1e-300") == EXIT_NUMERIC
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"{stem}.{ext}" for ext in ("csv", "json") for stem in (
                 "exponents", "construct", "quantities", "scale_check", "liouville",
@@ -533,11 +533,16 @@ def test_finite_walks_every_nested_float(value, finite):
     assert _finite(value) is finite
 
 
-def test_tolerance_flag_writes_the_config_entry(tmp_path, capsys):
-    assert run(tmp_path, "exponents", "--tolerance", "1/1000") == EXIT_OK
+def test_tolerance_entry_is_parsed_and_checked(tmp_path, capsys):
+    assert run(tmp_path, "exponents", "run.tolerance=1/1000") == EXIT_OK
     assert read_json(tmp_path, "exponents")["provenance"]["tolerance"] == 0.001
-    assert run(tmp_path, "exponents", "--tolerance", "abc") == EXIT_INVALID
+    assert run(tmp_path, "exponents", "run.tolerance=abc") == EXIT_INVALID
     assert "run.tolerance" in capsys.readouterr().err
+
+
+def test_tolerance_has_no_flag(tmp_path, capsys):
+    assert run(tmp_path, "exponents", "--tolerance", "1e-3") == EXIT_INVALID
+    assert "--tolerance" in capsys.readouterr().err
 
 
 def test_unreadable_config_file_exits_invalid(tmp_path, capsys):

@@ -156,6 +156,21 @@ def test_weight_that_overflows_is_a_radius_error():
         sup_weighted_mass(ConstantProfile(), 1e-100, 4.0)
 
 
+@pytest.mark.parametrize("r", [1e-70, 1e-64])
+def test_cylinder_integral_that_underflows_is_a_radius_error(r):
+    """The unweighted integral over Q(r) scales like r**5 and underflowed: the
+    weighted one came back as 0.0 at 1e-70 and as 4.18869e-192 at 1e-64, where
+    4.18879e-192 is right."""
+    with pytest.raises(RadiusError, match=f"radius {r} "):
+        cylinder_power_integral(ConstantProfile(), "speed", 3.0, r, 2.0)
+
+
+def test_cylinder_integral_of_normal_size_at_a_tiny_radius_or_of_zero_stays():
+    assert cylinder_power_integral(P, "speed", 3.0, 1e-70, 2.0) == 5.3190986727448545e+22
+    assert cylinder_power_integral(ConstantProfile((0.0, 0.0, 0.0)), "speed", 3.0, 1.0,
+                                   2.0) == 0.0
+
+
 def _never(*args):
     raise AssertionError("evaluated before the inputs were checked")
 
@@ -177,6 +192,19 @@ def test_dss_slab_bounds_counts(ladder, n_tau):
     dss = steady_to_discrete(SelfSimilarProfile(alpha=1.5, U=_never), 0.4)
     with pytest.raises(DomainError):
         dss_slab_bounds(dss, ladder, n_tau=n_tau)
+
+
+@pytest.mark.parametrize("ladder", [[], [4.0]])
+def test_ladder_of_fewer_than_two_radii_is_refused(ladder):
+    """With fewer than two radii the fitted slope was -inf: growth_envelope called
+    the evidence bounded, so liouville_verdict said Trivial, and dss_slab_bounds
+    passed all four rows."""
+    dss = steady_to_discrete(SelfSimilarProfile(alpha=1.5, U=_never), 0.4)
+    for radial in (False, True):
+        with pytest.raises(DomainError, match="two or more ladder values"):
+            growth_envelope(_never, 0.0, ladder, radial=radial)
+    with pytest.raises(DomainError, match="two or more ladder radii"):
+        dss_slab_bounds(dss, ladder)
 
 
 @pytest.mark.parametrize("m0, alpha", [(0.9, 3), (0.9, 0), (0.9, 1), (0.9, NAN), (2, 0.5)])
@@ -218,11 +246,10 @@ def _raise_sites(tree):
     return sites
 
 
-#: the only raises outside CylscaleError: Profile's abstract evaluators, and
+#: the only raises outside CylscaleError: Profile's abstract velocity, and
 #: the ValueError that read_grid_csv's own try turns into FileFormatError
 _UNTYPED_RAISES = {
     ("fields", "Profile.velocity", "NotImplementedError"),
-    ("fields", "Profile.pressure", "NotImplementedError"),
     ("fields", "read_grid_csv", "ValueError"),
 }
 

@@ -185,3 +185,10 @@ class TestInviscidChain:
         with pytest.raises(GeometryError, match="alpha < 1"):
             invariance_report(self.prof, ScalingSpec("euler", 0.5, alpha=0.8),
                               self.params, [1.0])
+
+    def test_alpha_below_one_rejected_without_radii(self):
+        # the check sat inside the radius loop, so an empty ladder returned one
+        # passing M_att row
+        with pytest.raises(GeometryError, match="alpha < 1"):
+            invariance_report(self.prof, ScalingSpec("euler", 0.5, alpha=0.8),
+                              self.params, [])
