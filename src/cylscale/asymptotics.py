@@ -323,7 +323,7 @@ class _FixedTau(Profile):
 
     def pressure(self, y, t):
         if self.profile.P is None:
-            return np.zeros(y.shape[:-1])
+            return super().pressure(y, t)
         return np.asarray(self.profile.P(y, self.tau), dtype=float)
 
     def grad_norm_sq(self, y, t):

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DomainError,
     FileFormatError,
+    NonFiniteResultError,
     NonFiniteSampleError,
     RadiusError,
     ResolutionError,
@@ -273,13 +274,14 @@ class _SimilarityForm(Profile):
 
     def velocity(self, x, t):
         y = _similarity_point(self.alpha, x, t)
-        return (-t) ** self.time_power * np.asarray(self.U(y, *self._extra(t)), dtype=float)
+        scale = _time_scale(self.alpha, t, self.time_power)
+        return scale * np.asarray(self.U(y, *self._extra(t)), dtype=float)
 
     def pressure(self, x, t):
         y = _similarity_point(self.alpha, x, t)
         if self.P is None:
-            return np.zeros(y.shape[:-1])
-        scale = (-t) ** (2 * self.time_power)
+            return super().pressure(y, t)
+        scale = _time_scale(self.alpha, t, 2 * self.time_power)
         return scale * np.asarray(self.P(y, *self._extra(t)), dtype=float)
 
 
@@ -335,10 +337,19 @@ def _check_time(t):
         raise SingularPointError(f"profiles are defined for t < 0, got t={t}")
 
 
+def _time_scale(alpha: float, t, power: float):
+    """(-t)**power, refused with a typed error where it leaves the float range."""
+    try:
+        with np.errstate(over="raise"):
+            return (-t) ** power
+    except (OverflowError, FloatingPointError):
+        raise NonFiniteResultError(f"(-t)**{power} overflows at alpha={alpha}, t={t}") from None
+
+
 def _similarity_point(alpha: float, x, t):
     """y = x * (-t)**(-1/(alpha+1)), the similarity variable of (x, t)."""
     _check_time(t)
-    return np.asarray(x, dtype=float) * (-t) ** (-1.0 / (alpha + 1))
+    return np.asarray(x, dtype=float) * _time_scale(alpha, t, -1.0 / (alpha + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +410,16 @@ def _cell_centres(lo: float, width: float, n: int) -> np.ndarray:
     return lo + width / n * (np.arange(n) + 0.5)
 
 
+def _lattice(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (len(x), len(y), len(z), 3) points of np.stack(np.meshgrid(x, y, z,
+    indexing="ij"), axis=-1), filled one axis at a time without its copies."""
+    pts = np.empty((len(x), len(y), len(z), 3))
+    pts[..., 0] = x[:, None, None]
+    pts[..., 1] = y[:, None]
+    pts[..., 2] = z
+    return pts
+
+
 def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> GridField:
     """Cell-centered samples of a profile over the cylinder.
 
@@ -409,10 +430,8 @@ def sample(profile: Profile, cyl: CylinderSpec, n_space: int, n_time: int) -> Gr
         raise ResolutionError(f"need n_space, n_time >= 2, got {n_space}, {n_time}")
     a = cyl.space_radius
     axis = _cell_centres(-a, 2.0 * a, n_space)
-    xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([xx, yy, zz], axis=-1)
     T = cyl.time_depth
-    vel, prs = profile.slices(pts, _cell_centres(-T, T, n_time))
+    vel, prs = profile.slices(_lattice(axis, axis, axis), _cell_centres(-T, T, n_time))
     return GridField(
         cylinder=cyl,
         n_space=n_space,

@@ -20,16 +20,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergentIntegralError, DomainError
-from .fields import _cell_centres, _dot3
+from .fields import _cell_centres, _dot3, _lattice
 
 FOUR_PI = 4.0 * np.pi
 _GL2 = 1.0 / np.sqrt(3.0)  # two-point Gauss nodes at +- 1/sqrt(3)
 
 #: ceilings on the counts, checked before anything is allocated.  n_space:
-#: peak RSS of a local-energy residual, the largest n_space**3 user, was 85 MB
-#: at 64 and 433 MB at 128 on a power law (35 MB plus 200 bytes a cell), and
-#: 107 and 433 MB for standard-ns on a SelfSimilarProfile, whose blocked
-#: finite-difference |grad v|^2 adds a fixed cost, so about 1.4 GB at 192
+#: peak RSS of a standard-ns local-energy residual, the largest n_space**3 user,
+#: was 74 MB at 64 and 368 MB at 128 on a power law (about 170 bytes a cell
+#: between them), and 98 and 353 MB on a SelfSimilarProfile, whose blocked
+#: finite-difference |grad v|^2 adds a fixed cost, so about 1.2 GB at 192
 N_SPACE_MAX = 192
 #: max(n_time, n_space) Gauss-Legendre nodes solve an eigenproblem of that
 #: order: 92 MB peak at 2048, so about 0.3 GB at 4096
@@ -142,10 +142,8 @@ def graded_time_quadrature(f, T: float, cfg: QuadratureConfig) -> float:
 def _unit_ball_grid(n: int):
     """Cell centers of the n^3 grid on [-1,1]^3 that lie inside the unit ball."""
     axis = _cell_centres(-1.0, 2.0, n)
-    xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=-1)
-    mask = _dot3(pts, pts) < 1.0
-    return pts[mask].copy()
+    pts = _lattice(axis, axis, axis).reshape(-1, 3)
+    return pts[_dot3(pts, pts) < 1.0]
 
 
 def ball_grid(r: float, n: int):

@@ -19,12 +19,13 @@ import numpy as np
 from .errors import (
     DomainError,
     InequalityStructureError,
+    NonFiniteResultError,
     RadiusError,
     ResolutionError,
     SupportError,
 )
 from .exponents import ExponentParams, _radius_exponent, kappa
-from .fields import GridField, Profile, SelfSimilarProfile, _dot3
+from .fields import GridField, Profile, SelfSimilarProfile, _dot3, _lattice
 from .quadrature import (
     DEFAULT_CONFIG,
     FOUR_PI,
@@ -79,7 +80,14 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
         else:
             nodes, weights = graded_nodes(r, cfg.n_radial, cfg.graded_levels)
             radial = float(np.sum(weights * nodes ** (2 + a * p)))
-        return FOUR_PI * coef**p * radial * (-t) ** (b * p)
+        try:
+            value = FOUR_PI * coef**p * radial * (-t) ** (b * p)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise NonFiniteResultError(f"moment {key} at r={r}, t={t} of a profile with "
+                                       f"coefficient {coef} leaves the float range")
+        return value
     pts, w = ball_grid(r, cfg.n_space)
     cells = {} if cells is None else cells
     if kind not in cells:
@@ -526,18 +534,29 @@ class GaussianBump(_SpaceTimeProduct):
 
     def __post_init__(self):
         if not (0 < self.sigma < math.inf and 0 < self.sigma_t < math.inf
+                and len(self.center) == 3
                 and np.isfinite([*self.center, self.t_center]).all()):
-            raise DomainError(f"need finite centres and positive finite widths: {self}")
+            raise DomainError(f"need a finite centre of 3 coordinates, a finite t_center "
+                              f"and positive finite widths: {self}")
 
     def space_parts(self, y):
         """Value, gradient and Laplacian of the spatial factor at points y of
         shape (..., 3)."""
-        d = np.asarray(y, dtype=float) - np.asarray(self.center)
+        y = np.asarray(y, dtype=float)
+        d = np.empty(y.shape)
+        for j in range(3):  # by columns: numpy runs a length-3 inner loop at half speed
+            np.subtract(y[..., j], self.center[j], out=d[..., j])
         d2 = _dot3(d, d)
-        S = np.exp(-d2 / (2 * self.sigma**2))
-        grad = S[..., None] * (-d / self.sigma**2)
-        lap = S * (d2 / self.sigma**4 - 3.0 / self.sigma**2)
-        return S, grad, lap
+        # x / -c is -x / c bit for bit; one point gives scalars, which the
+        # augmented operators rebind rather than write
+        S = np.exp(d2 / (-2 * self.sigma**2))
+        d /= -self.sigma**2
+        for j in range(3):
+            np.multiply(d[..., j], S, out=d[..., j])
+        d2 /= self.sigma**4
+        d2 -= 3.0 / self.sigma**2
+        d2 *= S
+        return S, d, d2
 
     def time_parts(self, tau):
         """Value and tau-derivative of the temporal factor, elementwise in tau."""
@@ -588,7 +607,7 @@ def _testfn_grid(testfn, n: int):
     lo, hi = testfn.space_box
     (x, wx), (y, wy), (z, wz) = (gauss_legendre(float(lo[j]), float(hi[j]), n)
                                  for j in range(3))
-    pts = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = _lattice(x, y, z).reshape(-1, 3)
     wts = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
     return pts, wts
 
@@ -671,8 +690,15 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
         tnodes, twts = np.array([]), np.array([])
     else:
         tnodes, twts = gauss_legendre(tlo, t_hi, max(cfg.n_time, n))
-    S, gradS, lapS = testfn.space_parts(pts)
-    wS, wgradS, wlapS = wts * S, wts[:, None] * gradS, wts * lapS
+    parts = testfn.space_parts(pts)
+    bump = testfn.base if type(testfn) is ExponentialWeighted else testfn
+    if type(bump) is not GaussianBump:  # another test function may still hold its factors
+        parts = [np.array(a, dtype=float) for a in parts]
+    wS, wgradS, wlapS = parts  # weighted in place
+    wS *= wts
+    for j in range(3):
+        np.multiply(wgradS[:, j], wts, out=wgradS[:, j])
+    wlapS *= wts
     T, dT = testfn.time_parts(tnodes)
     T0 = float(testfn.time_parts(tau0)[0])
 

@@ -478,6 +478,17 @@ def test_overflow_prints_only_its_error_line(tmp_path, argv):
     assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("c", ["1e308", "1e154"])
+def test_overflowing_moment_is_named(tmp_path, capsys, c):
+    # at 1e308 coef**p once raised a bare OverflowError, printed as (34, 'Numerical
+    # result out of range'); at 1e154 coef**2 is finite and 4 pi times it is not
+    assert run(tmp_path, "quantities", f"profile.c={c}") == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteResultError: moment ('speed', 2.0) at r=")
+    assert f"coefficient {float(c)!r} leaves the float range" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_radius_without_time_samples_exits_invalid(tmp_path, capsys):
     # r = 5e-324 squares to 0, so no matched time sample lies in (-r^2, 0);
     # np.max of the empty list once raised a bare ValueError, and the radius

@@ -18,6 +18,7 @@ from cylscale import (
     DomainError,
     FileFormatError,
     GridField,
+    NonFiniteResultError,
     NonFiniteSampleError,
     PowerLawProfile,
     ResolutionError,
@@ -28,6 +29,7 @@ from cylscale import (
     SteadyShearProfile,
     azimuthal_unit,
     derive,
+    energy_quantities,
     evaluate,
     invariance_report,
     quantity_report,
@@ -37,7 +39,7 @@ from cylscale import (
     write_grid_csv,
 )
 from cylscale import fields
-from cylscale.fields import _norm3
+from cylscale.fields import _lattice, _norm3
 from cylscale.quadrature import ball_grid
 
 RNG = np.random.default_rng(42)
@@ -295,6 +297,23 @@ class TestSimilarityFormulas:
         assert not isinstance(dss, SelfSimilarProfile)
         assert ss.time_power == dss.time_power == -1.2 / 2.2
 
+    @pytest.mark.parametrize("t", [-1e3, -1e-3])
+    def test_time_factor_beyond_float_range_is_a_typed_error(self, t):
+        # alpha near -1 makes the time powers about +-1e4; (-t)**power once
+        # raised a bare OverflowError from velocity, pressure and the point y
+        for p in (SelfSimilarProfile(alpha=-0.9999, U=_swirl, P=lambda y: y[..., 0]),
+                  DiscreteSelfSimilarProfile(alpha=-0.9999, U=_tau_swirl, P=_tau_bowl)):
+            for method in (p.velocity, p.pressure):
+                with pytest.raises(NonFiniteResultError, match=f"alpha=-0.9999, t={t}"):
+                    method(self.x, t)
+
+    def test_time_factor_overflow_through_energy_quantities(self):
+        p = SelfSimilarProfile(alpha=-0.9999, U=_swirl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="alpha=-0.9999"):
+                energy_quantities(p, 1.0, derive(2.8, 2.8, 0.9))
+
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_refuse_non_negative_time(self, t):
         for p in (SelfSimilarProfile(alpha=1.5, U=_swirl),
@@ -302,6 +321,19 @@ class TestSimilarityFormulas:
             for method in (p.velocity, p.pressure):
                 with pytest.raises(SingularPointError):
                     method(self.x, t)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (1, 2, 3), (4, 1, 5), (5, 7, 3),
+                                       (16, 16, 16)])
+    def test_equals_the_stacked_meshgrid(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        axes = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n) for n in sizes]
+        axes[0][0], axes[-1][-1] = -0.0, np.nan
+        want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        got = _lattice(*axes)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGrid:

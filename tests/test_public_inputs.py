@@ -93,6 +93,9 @@ CASES = {
     "bump-sigma-t-zero": lambda: GaussianBump(sigma_t=0.0),
     "bump-sigma-t-nan": lambda: GaussianBump(sigma_t=NAN),
     "bump-center-nan": lambda: GaussianBump(center=(0.0, NAN, 0.0)),
+    # a short centre once ended in an IndexError, a long one in a broadcast ValueError
+    "bump-center-short": lambda: GaussianBump(center=(0.0, 0.0)),
+    "bump-center-long": lambda: GaussianBump(center=(0.0, 0.0, 0.0, 1.0)),
     "bump-t-center-inf": lambda: GaussianBump(t_center=-INF),
     # a bare TypeError at the first evaluation, a ZeroDivisionError, silent NaNs
     "similar-no-U": lambda: SelfSimilarProfile(alpha=1.5),

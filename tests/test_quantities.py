@@ -741,3 +741,100 @@ class TestLocalEnergy:
             local_energy_residual(self.shear, self.bump, -0.4, "eulerlimit")
         with pytest.raises(DomainError, match="SelfSimilarProfile"):
             local_energy_residual(self.shear, self.bump, -0.4, "selfsimilar")
+
+
+class TestKernelBits:
+    """The local-energy kernel builds its lattice and test-function factors in
+    place; these pins were recorded from the allocating forms."""
+
+    bump = TestLocalEnergy._bump
+    sim = SelfSimilarProfile(alpha=1.3, U=_similarity_U, P=_similarity_P)
+    cases = {
+        "euler-limit": (SteadyShearProfile(amplitude=0.5, wavenumber=1.5), bump),
+        "standard-ns": (PowerLawProfile(c=0.8, alpha_p=0.5, gamma_p=1.1),
+                        TestLocalEnergy._off),
+        "selfsimilar": (sim, bump),
+        "selfsimilar-weighted": (sim, ExponentialWeighted(bump, (3.0 - 2.0 * 1.3) / (1.0 + 1.3))),
+    }
+
+    @pytest.mark.parametrize("n, variant, want", [
+        (1, "euler-limit", "(0.3476271185108676, 0.3476271290945263, -1.0583658727192358e-08)"),
+        (1, "standard-ns", "(1.4686068906990708, -63.48294616948269, 64.95155306018175)"),
+        (1, "selfsimilar", "(12.03363463587628, 13.927650369372301, -1.8940157334960208)"),
+        (1, "selfsimilar-weighted", "(np.float64(12.03363463587628), 13.927650369372301, "
+                                    "np.float64(-1.8940157334960208))"),
+        (2, "euler-limit", "(6.256743901534309e-11, 6.256744092023548e-11, "
+                           "-1.9048923899103172e-18)"),
+        (2, "standard-ns", "(4.155397188056579e-11, 2.3012171253837887e-08, "
+                           "-2.297061728195732e-08)"),
+        (2, "selfsimilar", "(9.472050961814162e-15, -1.6706631233614357e-13, "
+                           "1.7653836329795773e-13)"),
+        (2, "selfsimilar-weighted", "(np.float64(9.472050961814164e-15), "
+                                    "-1.6706631233614357e-13, "
+                                    "np.float64(1.7653836329795773e-13))"),
+        (16, "euler-limit", "(0.006007090186435848, 0.006007090369324321, "
+                            "-1.8288847259545493e-10)"),
+        (16, "standard-ns", "(0.008494341183535741, 0.001267832222549177, "
+                            "0.007226508960986564)"),
+        (16, "selfsimilar", "(0.041508450616255, -0.01669152827064435, 0.05819997888689935)"),
+        (16, "selfsimilar-weighted", "(np.float64(0.041508450616255), -0.01669152827064435, "
+                                     "np.float64(0.05819997888689935))"),
+    ])
+    def test_residual_pins(self, n, variant, want):
+        profile, testfn = self.cases[variant]
+        got = local_energy_residual(profile, testfn, -0.4, variant, QuadratureConfig(n_space=n))
+        assert repr(got) == want
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 2, 3)])
+    def test_space_parts_match_the_allocating_formulas(self, shape):
+        from cylscale.fields import _dot3
+
+        rng = np.random.default_rng(len(shape))
+        y = rng.normal(size=shape)
+        for f in (self.bump, GaussianBump(center=(1, 0, -2), sigma=0.7)):
+            d = np.asarray(y, dtype=float) - np.asarray(f.center)
+            d2 = _dot3(d, d)
+            S = np.exp(-d2 / (2 * f.sigma**2))
+            want = (S, S[..., None] * (-d / f.sigma**2),
+                    S * (d2 / f.sigma**4 - 3.0 / f.sigma**2))
+            for g, w in zip(f.space_parts(y), want):
+                assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_kernel_writes_no_array_it_was_handed(self):
+        from cylscale.quantities import _testfn_grid
+
+        class HeldParts(GaussianBump):
+            """Hands out the same factor arrays on every call, as a cache would."""
+
+            def space_parts(self, y):
+                if not hasattr(self, "held"):
+                    object.__setattr__(self, "held", super().space_parts(y))
+                return self.held
+
+        returned = []
+
+        def kept(f):
+            def g(y):
+                out = f(y)
+                returned.append((out, out.copy()))
+                return out
+            return g
+
+        b = self.bump
+        held = HeldParts(center=b.center, t_center=b.t_center, sigma=b.sigma,
+                         sigma_t=b.sigma_t)
+        sim = SelfSimilarProfile(alpha=1.3, U=kept(_similarity_U), P=kept(_similarity_P))
+        shear = SteadyShearProfile(amplitude=0.5, wavenumber=1.5)
+        cfg = QuadratureConfig(n_space=6)
+        for profile, variant, rate in [(shear, "standard-ns", None), (sim, "standard-ns", None),
+                                       (sim, "selfsimilar", None),
+                                       (sim, "selfsimilar-weighted", 0.2)]:
+            fn, plain = (held, b) if rate is None else (ExponentialWeighted(held, rate),
+                                                        ExponentialWeighted(b, rate))
+            want = repr(local_energy_residual(profile, plain, -0.4, variant, cfg))
+            for _ in range(2):
+                assert repr(local_energy_residual(profile, fn, -0.4, variant, cfg)) == want
+        fresh = b.space_parts(_testfn_grid(b, 6)[0])
+        assert all(h.tobytes() == f.tobytes() for h, f in zip(held.held, fresh))
+        assert returned and all(a.tobytes() == c.tobytes() for a, c in returned)
