@@ -146,15 +146,37 @@ def _unit_ball_grid(n: int):
     return pts[_dot3(pts, pts) < 1.0]
 
 
+@lru_cache(maxsize=8)
+def _unit_ball_classes(n: int):
+    """One representative (all coordinates positive) per mirror class of
+    _unit_ball_grid(n), whose members differ only in coordinate signs, and each
+    point's class, both read-only; None unless the cell-centre axis is
+    mirror-symmetric bit for bit, which up to N_SPACE_MAX means n a power of 2."""
+    axis = _cell_centres(-1.0, 2.0, n)
+    if n % 2 or not np.array_equal(axis, -axis[::-1]):
+        return None
+    half = n // 2
+    octant = _lattice(axis[half:], axis[half:], axis[half:]).reshape(-1, 3)
+    inside = _dot3(octant, octant) < 1.0  # _dot3 reads squares: a class is in or out
+    fold = np.abs(2 * np.arange(n) - (n - 1)) // 2  # |axis[k]| is axis[half + fold[k]]
+    cell = ((fold[:, None, None] * half + fold[:, None]) * half + fold).reshape(-1)
+    reps, index = octant[inside], (np.cumsum(inside) - 1)[cell[inside[cell]]]
+    reps.flags.writeable = index.flags.writeable = False
+    return reps, index
+
+
 def ball_grid(r: float, n: int):
     """Cell-centered quadrature points inside B(r) and the cell volume.
 
     Points are the scaled unit-grid centers, so grids at different radii
     correspond exactly under spatial scaling.
     """
-    pts = _unit_ball_grid(n)
-    h = 2.0 * r / n
-    return r * pts, h**3
+    return r * _unit_ball_grid(n), _cell_volume(r, n)
+
+
+def _cell_volume(r: float, n: int) -> float:
+    """Volume of one cell of ball_grid(r, n)."""
+    return (2.0 * r / n) ** 3
 
 
 def centered_times(T: float, nt: int) -> np.ndarray:

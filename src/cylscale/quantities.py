@@ -30,6 +30,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     FOUR_PI,
     QuadratureConfig,
+    _cell_volume,
+    _unit_ball_classes,
     ball_grid,
     centered_times,
     gauss_legendre,
@@ -55,8 +57,12 @@ def _separable_powers(profile: Profile, kind: str):
     if kind == "speed":
         return profile.coef, profile.radial_power, profile.time_power
     if kind == "pressure":
-        return (abs(profile.pressure_coeff) * profile.coef**2, 2 * profile.radial_power,
-                2 * profile.time_power)
+        try:
+            coef = abs(profile.pressure_coeff) * profile.coef**2
+        except OverflowError:
+            raise NonFiniteResultError(f"pressure moments overflow: c**2 at "
+                                       f"c={profile.coef}") from None
+        return coef, 2 * profile.radial_power, 2 * profile.time_power
     return None
 
 
@@ -88,21 +94,30 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
             raise NonFiniteResultError(f"moment {key} at r={r}, t={t} of a profile with "
                                        f"coefficient {coef} leaves the float range")
         return value
-    pts, w = ball_grid(r, cfg.n_space)
     cells = {} if cells is None else cells
     if kind not in cells:
-        if kind == "gradsq":
-            vals = profile.grad_norm_sq(pts, t)
-            if vals is None:
-                vals = _gradsq_fd(profile, pts, t, 0.25 * 2.0 * r / cfg.n_space)
-        elif kind == "speed":
-            vals = profile.speed(pts, t)
-        else:
-            vals = np.abs(profile.pressure(pts, t))
-        cells[kind] = vals
+        cells[kind] = _ball_cells(profile, kind, r, t, cfg.n_space)
+    w = _cell_volume(r, cfg.n_space)
     if kind == "gradsq":
         return float(np.sum(cells[kind])) * w
     return float(np.sum(cells[kind] ** key[1])) * w
+
+
+def _ball_cells(profile: Profile, kind: str, r: float, t: float, n: int) -> np.ndarray:
+    """|v|, |q| or |grad v|^2 at the points of ball_grid(r, n).  A mirror-even
+    |grad v|^2 is evaluated once per mirror class and copied to its members,
+    whose squared coordinates, all it reads, have the same bits."""
+    classes = _unit_ball_classes(n) if kind == "gradsq" and profile.mirror_even else None
+    if classes is not None:
+        reps, index = classes
+        return profile.grad_norm_sq(r * reps, t)[index]
+    pts = ball_grid(r, n)[0]
+    if kind == "gradsq":
+        vals = profile.grad_norm_sq(pts, t)
+        return _gradsq_fd(profile, pts, t, 0.25 * 2.0 * r / n) if vals is None else vals
+    if kind == "speed":
+        return profile.speed(pts, t)
+    return np.abs(profile.pressure(pts, t))
 
 
 #: points per velocity call of _gradsq_fd, which holds six shifted copies: a standard-ns
@@ -218,8 +233,9 @@ def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
 def _check_radius(field, r: float):
     if not 0 < r < math.inf:
         raise RadiusError(f"radius must be positive and finite, got {r}")
-    if r * r * r < sys.float_info.min:
-        raise RadiusError(f"radius {r} is too small: r**3 is below the smallest normal float")
+    if not sys.float_info.min <= r * r * r < math.inf:  # so Q(r)'s depth r**2 is finite
+        raise RadiusError(f"radius {r} is out of range: r**3 = {r * r * r} is not a "
+                          "normal float")
     if isinstance(field, GridField) and r > field.cylinder.space_radius * (1 + 1e-12):
         raise RadiusError(f"radius {r} exceeds the field cylinder "
                           f"{field.cylinder.space_radius}")

@@ -270,6 +270,22 @@ class TestSuite:
                 "iterate"))
         assert read_json(tmp_path, "scale_check")["all_pass"] is False
 
+    def test_power_law_gradsq_is_evaluated_once_per_mirror_class(self, tmp_path,
+                                                                 monkeypatch):
+        # E's twelve Cartesian sums on the n_space=32 ball grid read its 2,157
+        # mirror classes, not its 17,256 points
+        from cylscale.fields import PowerLawProfile
+
+        sizes, evaluate = [], PowerLawProfile.grad_norm_sq
+
+        def counted(self, x, t):
+            sizes.append(len(x))
+            return evaluate(self, x, t)
+
+        monkeypatch.setattr(PowerLawProfile, "grad_norm_sq", counted)
+        assert run(tmp_path, "suite") == EXIT_OK
+        assert sizes == [2157] * 12
+
     def test_out_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUT_ENV, str(tmp_path / "envout"))
         assert main(["exponents"]) == EXIT_OK
@@ -486,6 +502,14 @@ def test_overflowing_moment_is_named(tmp_path, capsys, c):
     err = capsys.readouterr().err
     assert err.startswith("error: NonFiniteResultError: moment ('speed', 2.0) at r=")
     assert f"coefficient {float(c)!r} leaves the float range" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_radius_whose_ball_volume_overflows_is_named(tmp_path, capsys):
+    # r**2 = 1e400 once ended in error: OverflowError: (34, 'Numerical result out of range')
+    assert run(tmp_path, "quantities", "ladder.start=1e200") == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: RadiusError: radius 1e+200 ") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

@@ -545,6 +545,20 @@ class TestSampleBytes:
         assert f.velocity.tobytes() == vel.tobytes()
         assert f.pressure.tobytes() == prs.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (4, 5, 3)])
+    def test_power_law_velocity_is_the_broadcast_product(self, shape):
+        # velocity and slices multiply the speed into the unit field column by
+        # column, which must give the bits of speed[..., None] * unit
+        p = PowerLawProfile(c=1.3, alpha_p=0.4, gamma_p=1.7)
+        x = np.random.default_rng(len(shape)).normal(size=shape)
+        times = [-0.3, -1.0, -2.5]
+        vel, _ = p.slices(x, times)
+        for j, t in enumerate(times):
+            want = (p.speed(x, -1.0) * (-t) ** p.time_power)[..., None] * azimuthal_unit(x)
+            assert vel[j].tobytes() == want.tobytes()
+            want = p.speed(x, t)[..., None] * azimuthal_unit(x)
+            assert p.velocity(x, t).tobytes() == want.tobytes()
+
     def test_power_law_slices_guard_time_and_origin(self):
         p = PowerLawProfile()
         x = RNG.normal(size=(4, 3))

@@ -18,6 +18,7 @@ from cylscale import (
     DomainError,
     GaussianBump,
     IterationParams,
+    NonFiniteResultError,
     PowerLawProfile,
     RadiusError,
     ScalingSpec,
@@ -166,6 +167,18 @@ def test_cylinder_integral_that_underflows_is_a_radius_error(r):
     4.18879e-192 is right."""
     with pytest.raises(RadiusError, match=f"radius {r} "):
         cylinder_power_integral(ConstantProfile(), "speed", 3.0, r, 2.0)
+
+
+def test_pressure_coefficient_that_overflows_is_a_non_finite_result():
+    # c**2 = 1e400 raised a bare OverflowError from the separable pressure rule
+    with pytest.raises(NonFiniteResultError, match=r"c\*\*2 at c=1e\+200"):
+        cylinder_power_integral(PowerLawProfile(c=1e200), "pressure", 1.5, 1.0, 2.0)
+
+
+def test_radius_whose_ball_volume_overflows_is_a_radius_error():
+    # the depth r**2 = 1e400 of Q(r) raised a bare OverflowError
+    with pytest.raises(RadiusError, match=r"radius 1e\+200 .*r\*\*3 = inf"):
+        cylinder_power_integral(P, "speed", 2.0, 1e200, 2.0)
 
 
 def test_cylinder_integral_of_normal_size_at_a_tiny_radius_or_of_zero_stays():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cylscale import (
     ConstantProfile,
     CylinderSpec,
+    CylscaleError,
     DivergentIntegralError,
     DomainError,
     ExponentialWeighted,
@@ -535,6 +536,55 @@ class TestPowerKinds:
     def test_unknown_kind_rejected(self, field):
         with pytest.raises(DomainError, match="kind"):
             cylinder_power_integral(field, "bogus", 1.5, 1.0, 2.0)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+#: a strategy for each Profile class that declares mirror_even
+_MIRROR_EVEN = {
+    PowerLawProfile: st.builds(PowerLawProfile, c=st.floats(0.0, 1e3),
+                               alpha_p=st.floats(0.0, 1.0),
+                               gamma_p=st.floats(1.0, 4.0, exclude_min=True),
+                               pressure_coeff=st.floats(-2.0, 2.0)),
+}
+
+
+class TestMirrorClasses:
+    """At a power-of-two n_space the Cartesian route evaluates a mirror-even
+    |grad v|^2 once per mirror class of the ball grid; every cell must keep the
+    bits of the evaluation at every grid point."""
+
+    def test_every_mirror_even_profile_is_drawn(self):
+        assert {c for c in _subclasses(Profile) if c.mirror_even} == set(_MIRROR_EVEN)
+
+    @pytest.mark.parametrize("n, counts", [(32, (2157, 17256)), (64, (17172, 137376)),
+                                           (96, None), (5, None)])
+    def test_class_counts(self, n, counts):
+        from cylscale.quadrature import _unit_ball_classes
+
+        got = _unit_ball_classes(n)
+        assert (None if got is None else (len(got[0]), len(got[1]))) == counts
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=st.one_of(*_MIRROR_EVEN.values()),
+           n=st.sampled_from([2, 4, 8, 16, 32, 1, 3, 5, 6, 7, 12, 20]),
+           r=st.floats(1e-3, 1e3), t=st.floats(-1e3, -1e-6) | st.just(0.0))
+    def test_cells_equal_the_full_grid_evaluation(self, profile, n, r, t):
+        from cylscale.quadrature import ball_grid
+        from cylscale.quantities import _ball_cells
+
+        def outcome(evaluate):
+            try:
+                return evaluate().tobytes()
+            except CylscaleError as exc:  # odd n puts points on the x3-axis
+                return type(exc), str(exc)
+
+        want = outcome(lambda: profile.grad_norm_sq(ball_grid(r, n)[0], t))
+        assert outcome(lambda: _ball_cells(profile, "gradsq", r, t, n)) == want
 
 
 class TestTestFunctions:
