@@ -47,7 +47,6 @@ from .fields import (
     SteadyShearProfile,
     azimuthal_unit,
     divergence_residual,
-    evaluate,
     read_grid_csv,
     sample,
     steady_to_discrete,

@@ -15,10 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteResultError
 from .fields import DiscreteSelfSimilarProfile, Profile, _norm3
 from .quadrature import DEFAULT_CONFIG, FOUR_PI, QuadratureConfig, ball_grid, graded_nodes
-from .quantities import _ball_integral, _gradsq_fd
+from .quantities import _ball_integral, _check_radius, _gradsq_fd
 
 SLOPE_SLACK = 0.05
 DEFAULT_LADDER = tuple(float(2**j) for j in range(11))
@@ -50,10 +50,6 @@ class IterationParams:
     @property
     def gamma_max(self) -> float:
         return gamma_ceiling(self.m1)
-
-    @property
-    def gamma_ok(self) -> bool:
-        return self.gamma < self.gamma_max
 
     @property
     def case_tag(self) -> str:
@@ -191,6 +187,8 @@ def growth_envelope(u: Callable, exponent: float,
         raise DomainError(f"need two or more ladder values, positive and finite, got {ladder}")
     if any(b2 <= b1 for b1, b2 in zip(ladder, ladder[1:])):
         raise DomainError("ladder must be strictly increasing")
+    for b in ladder:
+        _check_radius(None, b)
     masses = []
     for b in ladder:
         if radial:
@@ -204,6 +202,8 @@ def growth_envelope(u: Callable, exponent: float,
                 vals = _norm3(vals)
             raw = float(np.sum(np.abs(vals) ** power)) * w
         masses.append(b**-exponent * raw)
+        if not math.isfinite(masses[-1]):
+            raise NonFiniteResultError(f"growth envelope mass {masses[-1]} at ladder radius {b}")
     sup = np.maximum.accumulate(masses)
     slope = _fit_slope(ladder, masses)
     return GrowthEnvelope(
@@ -225,9 +225,6 @@ INCONCLUSIVE = "Inconclusive"
 class LiouvilleVerdict:
     verdict: str
     checklist: dict
-
-    def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict, "checklist": self.checklist}
 
 
 def liouville_verdict(m: float, gamma: Optional[float] = None,

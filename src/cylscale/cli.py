@@ -345,7 +345,7 @@ def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
     evidence = True if cfg.flag("liouville.compact_support") else None
     verdict = asy.liouville_verdict(m, gamma, evidence)
     _emit(cfg, outdir, "liouville", fmt, ("verdict",), [[verdict.verdict]],
-          verdict.to_json_dict())
+          dataclasses.asdict(verdict))
     return EXIT_OK
 
 

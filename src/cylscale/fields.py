@@ -38,9 +38,10 @@ class CylinderSpec:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.radius, self.lam, self.mu)):
-            raise DomainError("cylinder radius and anisotropy factors must be positive "
-                              f"and finite, got {self}")
+        R, lam, mu = self.radius, self.lam, self.mu
+        if not all(0 < v < math.inf for v in (R, lam, mu, lam * R, mu * (R * R))):
+            raise DomainError("cylinder radius and anisotropy factors must be positive and "
+                              f"finite, and so must lam*R, R**2 and mu*R**2, got {self}")
 
     @property
     def space_radius(self) -> float:
@@ -497,20 +498,7 @@ class SampledProfile(Profile):
 
 
 # ---------------------------------------------------------------------------
-# evaluation and I/O
-
-
-def evaluate(profile: Profile, x, t):
-    """Velocity vector and pressure at one space-time point.
-
-    Raises SingularPointError on the singular locus.
-    """
-    x = np.asarray(x, dtype=float)
-    if profile.singular_at_origin and np.linalg.norm(x) == 0:
-        raise SingularPointError("evaluation at the spatial singular point x = 0")
-    if profile.singular_at_time_zero and t == 0:
-        raise SingularPointError("evaluation at the temporal singular point t = 0")
-    return profile.velocity(x, t), profile.pressure(x, t)
+# grid I/O
 
 
 #: rows per repr table of write_grid_csv: an N=64, Nt=8 write peaked at 146 MB

@@ -140,19 +140,6 @@ def _gradsq_fd(profile: Profile, pts: np.ndarray, t: float, h: float) -> np.ndar
     return g.reshape(pts.shape[:-1])
 
 
-def _time_integrate(Gfun, time_exponent: Optional[float], T: float,
-                    cfg: QuadratureConfig, steady: bool) -> float:
-    """int_{-T}^0 G(t) dt given what is known about G's time dependence."""
-    if steady:
-        return Gfun(-T / 2) * T
-    if time_exponent is not None and cfg.time_rule == "exact":
-        tref = -T / 2
-        K = Gfun(tref) / (-tref) ** time_exponent
-        return K * power_time_integral(time_exponent, T)
-    return graded_time_quadrature(lambda u: np.array([Gfun(-float(v)) for v in u]),
-                                  T, cfg)
-
-
 # ---------------------------------------------------------------------------
 # GridField reductions
 
@@ -299,7 +286,13 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     sep = _separable_powers(field, "pressure" if key[0] == "pressure" else "speed")
     power = l if l is not None else key[1] if len(key) > 1 else 2
     e = None if sep is None else sep[2] * power
-    value = _time_integrate(G, e, T, cfg, field.steady)
+    # int_{-T}^0 G(t) dt: one sample if steady, the exact power law if separable
+    if field.steady:
+        value = G(-T / 2) * T
+    elif e is not None and cfg.time_rule == "exact":
+        value = G(-T / 2) / (T / 2) ** e * power_time_integral(e, T)
+    else:
+        value = graded_time_quadrature(lambda u: np.array([G(-float(v)) for v in u]), T, cfg)
     if value < sys.float_info.min and T * r**3 < sys.float_info.min:  # |Q(r)| underflows too
         raise RadiusError(f"radius {r} is too small: the integral over Q(r) underflows")
     return value, 1.0

@@ -41,8 +41,9 @@ ROOT_TOL = 1e-14
 class ScalingSpec:
     """One scaling transformation: kind 'navier-stokes' or 'euler'.
 
-    ``alpha`` is only read for the inviscid kind; alpha <= 1 there is allowed
-    but flagged, since the zoom inequality chain needs alpha > 1.
+    ``alpha`` is only read for the inviscid kind. invariance_report refuses
+    alpha < 1 with lam < 1 (GeometryError): the shrunk time base would then
+    leave the reference cylinder.
     """
 
     kind: str
@@ -60,11 +61,6 @@ class ScalingSpec:
     @property
     def exponent(self) -> float:
         return 1.0 if self.kind == "navier-stokes" else float(self.alpha)
-
-    @property
-    def weak_alpha(self) -> bool:
-        """True when the inviscid chain's alpha > 1 requirement fails."""
-        return self.kind == "euler" and self.alpha is not None and self.alpha <= 1
 
 
 class RescaledProfile(Profile):

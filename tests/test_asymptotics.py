@@ -1,5 +1,6 @@
 """Tests for the iteration engine, envelopes and verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,6 @@ class TestDeriveParams:
         assert p.theta == pytest.approx(2 / 2.1, rel=1e-12)
         assert p.beta == pytest.approx(0.1041667, abs=1e-7)
         assert p.gamma_max == pytest.approx(0.7039076, abs=1e-4)
-        assert p.gamma_ok
 
     def test_gamma_ceiling_limit(self):
         """As m1 -> 0 the ceiling tends to 1/(2 ln 2)."""
@@ -40,16 +40,15 @@ class TestDeriveParams:
     def test_gamma_ceiling_at_zero(self):
         assert gamma_ceiling(0.0) == 1.0 / (2.0 * math.log(2.0))
 
-    def test_gamma_ok_follows_the_ceiling_of_m1(self):
-        # stored defaults once reported gamma_max = inf and gamma_ok = True here
+    def test_gamma_max_follows_the_ceiling_of_m1(self):
+        # stored defaults once reported gamma_max = inf here
         p = IterationParams(0.5, 0.5, gamma=5.0, m1=0.1)
-        assert p.gamma_max == gamma_ceiling(0.1) and p.gamma_ok is False
+        assert p.gamma_max == gamma_ceiling(0.1)
 
     @pytest.mark.parametrize("m, gamma", [(0.55, 0.5), (0.55, 0.71), (0.51, 0.1)])
     def test_derived_ceiling_is_the_stored_one(self, m, gamma):
         p = derive_iteration_params(m, gamma)
         assert p.gamma_max == gamma_ceiling(2.0 * m - 1.0)
-        assert p.gamma_ok is (gamma < gamma_ceiling(2.0 * m - 1.0))
 
     @pytest.mark.parametrize("theta", [1.0, 0.0, -0.5, 1.5])
     def test_theta_outside_unit_interval(self, theta):
@@ -215,7 +214,7 @@ class TestLiouville:
         v = liouville_verdict(0.55, 0.5, evidence=[env])
         assert v.verdict == "Trivial"
         assert v.checklist["evidence_bounded"] is True
-        record = v.to_json_dict()
+        record = dataclasses.asdict(v)
         assert record["verdict"] == "Trivial"
 
     def test_generator_evidence_accepted(self):

@@ -30,7 +30,6 @@ from cylscale import (
     azimuthal_unit,
     derive,
     energy_quantities,
-    evaluate,
     invariance_report,
     quantity_report,
     read_grid_csv,
@@ -101,8 +100,6 @@ class TestPowerLawProfile:
             p.speed(np.zeros(3), -1.0)
         with pytest.raises(SingularPointError):
             p.speed(np.array([0.1, 0.2, 0.3]), 0.5)
-        with pytest.raises(SingularPointError):
-            evaluate(p, np.zeros(3), -1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -636,6 +633,14 @@ class TestGridCsvErrors:
         csv_path, meta_path, _ = files
         meta_path.write_text(text)
         with pytest.raises(FileFormatError, match=match) as exc:
+            read_grid_csv(csv_path, meta_path)
+        assert "field.json" in str(exc.value)
+
+    def test_sidecar_radius_whose_depth_overflows_names_sidecar(self, files):
+        # CylinderSpec took radius 1e200, whose depth radius**2 overflows
+        csv_path, meta_path, _ = files
+        meta_path.write_text('{"n_space": 2, "n_time": 2, "cylinder": {"radius": 1e200}}')
+        with pytest.raises(FileFormatError, match=r"mu\*R\*\*2") as exc:
             read_grid_csv(csv_path, meta_path)
         assert "field.json" in str(exc.value)
 

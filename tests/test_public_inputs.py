@@ -5,14 +5,17 @@ import ast
 import builtins
 import importlib
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cylscale
 
 from cylscale import (
     ConstantProfile,
+    CylinderSpec,
     CylscaleError,
     DiscreteSelfSimilarProfile,
     DomainError,
@@ -37,6 +40,7 @@ from cylscale import (
     iterate_bound,
     lambda_for_rk,
     m_quantity,
+    sample,
     steady_to_discrete,
     sup_weighted_mass,
 )
@@ -185,6 +189,38 @@ def test_cylinder_integral_of_normal_size_at_a_tiny_radius_or_of_zero_stays():
     assert cylinder_power_integral(P, "speed", 3.0, 1e-70, 2.0) == 5.3190986727448545e+22
     assert cylinder_power_integral(ConstantProfile((0.0, 0.0, 0.0)), "speed", 3.0, 1.0,
                                    2.0) == 0.0
+
+
+@pytest.mark.parametrize("radius, lam, mu", [(1e200, 1.0, 1.0), (1e200, 1.0, 1e-300),
+                                             (1e154, 1.0, 1e10), (1e154, 1e200, 1.0),
+                                             (1e-200, 1.0, 1.0), (1e-160, 1e-200, 1.0)])
+def test_cylinder_whose_space_radius_or_depth_leaves_float_range_is_a_domain_error(
+        radius, lam, mu):
+    """sample(P, CylinderSpec(1e200), 4, 4) raised a bare OverflowError from the
+    depth radius**2, and lam*R = inf and mu*R**2 = inf passed unchecked; a depth
+    that underflows to 0 sampled every time cell at t = 0."""
+    with pytest.raises(DomainError, match=re.escape(f"radius={radius}, lam={lam}, mu={mu}")):
+        sample(P, CylinderSpec(radius, lam, mu), 4, 4)
+
+
+@pytest.mark.parametrize("radial", [False, True])
+def test_growth_envelope_radius_whose_ball_volume_overflows_is_a_radius_error(radial):
+    # the Cartesian cell volume (2r/n)**3 raised a bare OverflowError at 1e200, and
+    # the radial route returned masses (inf, inf)
+    u = (lambda r: np.ones_like(r)) if radial else (lambda x: np.ones(x.shape[:-1]))
+    with pytest.raises(RadiusError, match=r"radius 1e\+150 .*r\*\*3 = inf"):
+        growth_envelope(u, 0.0, ladder=[1e150, 1e200], radial=radial)
+
+
+@pytest.mark.parametrize("radial", [False, True])
+def test_growth_envelope_mass_that_is_not_finite_is_refused(radial):
+    """Masses (inf, inf) came back with slope nan and bounded=False, which
+    liouville_verdict read as Inconclusive."""
+    u = (lambda r: np.full_like(r, 1e200)) if radial else (
+        lambda x: np.full(x.shape[:-1], 1e200))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError,
+                                                   match="inf at ladder radius 1.0"):
+        growth_envelope(u, 0.0, ladder=[1.0, 2.0], radial=radial)
 
 
 def _never(*args):

@@ -38,8 +38,6 @@ class TestScalingSpec:
             ScalingSpec("navier-stokes", -1.0)
         with pytest.raises(DomainError):
             ScalingSpec("euler", 0.5)
-        assert ScalingSpec("euler", 0.5, alpha=0.9).weak_alpha
-        assert not ScalingSpec("euler", 0.5, alpha=1.3).weak_alpha
 
     def test_ns_is_alpha_one(self):
         assert ScalingSpec("navier-stokes", 0.5).exponent == 1.0
