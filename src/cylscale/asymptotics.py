@@ -191,6 +191,10 @@ def growth_envelope(u: Callable, exponent: float,
         _check_radius(None, b)
     masses = []
     for b in ladder:
+        try:
+            weight = b**-exponent
+        except OverflowError:
+            raise NonFiniteResultError(f"ladder radius {b}: {b}**{-exponent} overflows") from None
         if radial:
             nodes, weights = graded_nodes(b, cfg.n_radial, cfg.graded_levels)
             vals = np.abs(np.asarray(u(nodes), dtype=float))
@@ -201,7 +205,7 @@ def growth_envelope(u: Callable, exponent: float,
             if vals.ndim == pts.ndim:
                 vals = _norm3(vals)
             raw = float(np.sum(np.abs(vals) ** power)) * w
-        masses.append(b**-exponent * raw)
+        masses.append(weight * raw)
         if not math.isfinite(masses[-1]):
             raise NonFiniteResultError(f"growth envelope mass {masses[-1]} at ladder radius {b}")
     sup = np.maximum.accumulate(masses)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,10 +208,6 @@ class RunConfig:
                               f"ladder.factor={factor!r} to the power {count - 1}")
         return radii
 
-    def provenance(self) -> dict:
-        return {"tolerance": self.tolerance,
-                "quadrature": dataclasses.asdict(self.quadrature())}
-
 
 # ---------------------------------------------------------------------------
 # emitters
@@ -248,48 +244,41 @@ def _finite(v) -> bool:
     return all(map(math.isfinite, floats))
 
 
-def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _emit(cfg: RunConfig, outdir: Path, stem: str, fmt: str, header, rows,
-          payload: dict) -> None:
-    payload["provenance"] = cfg.provenance()
+def _emit(cfg: RunConfig, stem: str, fmt: str, header, rows, payload: dict) -> dict:
+    """The artifact texts of one command, by file name."""
+    payload["provenance"] = {"tolerance": cfg.tolerance,
+                             "quadrature": dataclasses.asdict(cfg.quadrature())}
     if not _finite([rows, payload]):
         raise NonFiniteResultError(f"{stem}: a result is not a finite number; "
                                    "nothing was written")
+    files = {}
     if fmt in ("csv", "both"):
-        write_csv(outdir / f"{stem}.csv", header, rows)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        files[f"{stem}.csv"] = buf.getvalue()
     if fmt in ("json", "both"):
-        write_json(outdir / f"{stem}.json", payload)
+        files[f"{stem}.json"] = json.dumps(payload, indent=2, sort_keys=True,
+                                           allow_nan=False) + "\n"
+    return files
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_exponents(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_exponents(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     p = cfg.exponents()
     header = ("s", "l", "m0", "kappa", "q_interp", "alpha", "m", "m1",
               "gamma_profile", "strong_admissible", "m0_lower_bound")
     record = {k: getattr(p, k) for k in header + (
         "weak_admissible", "positive_window", "scenario_ordered")}
-    _emit(cfg, outdir, "exponents", fmt, header, [[_cell(record[c]) for c in header]],
-          {k: _num(v) for k, v in record.items()})
-    return EXIT_OK
+    return _emit(cfg, "exponents", fmt, header, [[_cell(record[c]) for c in header]],
+                 {k: _num(v) for k, v in record.items()}), EXIT_OK
 
 
-def cmd_construct(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_construct(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     con = ex.construct_profile_exponents(
         cfg.rational("construct.m0"), cfg.rational("construct.alpha"),
         cfg.optional("construct.delta", cfg.rational))
@@ -302,12 +291,11 @@ def cmd_construct(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         "edge_check": con.edge_check,
     }
     header = ("m0", "alpha", "delta", "s", "l", "gamma", "certificate", "branch")
-    _emit(cfg, outdir, "construct", fmt, header, [[_cell(record[c]) for c in header]],
-          {k: _num(v) for k, v in record.items()})
-    return EXIT_OK
+    return _emit(cfg, "construct", fmt, header, [[_cell(record[c]) for c in header]],
+                 {k: _num(v) for k, v in record.items()}), EXIT_OK
 
 
-def cmd_quantities(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_quantities(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     report = qt.quantity_report(cfg.profile(), cfg.ladder(), cfg.exponents(),
                                 cfg.quadrature())
     rows = [[getattr(row, c) for c in QUANTITY_COLUMNS] for row in report.rows]
@@ -315,11 +303,10 @@ def cmd_quantities(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         "rows": [dict(zip(QUANTITY_COLUMNS, [_num(v) for v in r])) for r in rows],
         "type1_sup": report.type1_sup,
     }
-    _emit(cfg, outdir, "quantities", fmt, QUANTITY_COLUMNS, rows, payload)
-    return EXIT_OK
+    return _emit(cfg, "quantities", fmt, QUANTITY_COLUMNS, rows, payload), EXIT_OK
 
 
-def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_scale_check(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     params = cfg.exponents()
     kind = cfg.text("scale.kind")
     alpha = cfg.optional("scale.alpha", cfg.real)
@@ -334,22 +321,21 @@ def cmd_scale_check(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         "rows": [dict(zip(INVARIANCE_COLUMNS, row)) for row in csv_rows],
         "all_pass": all(r.passed for r in rows),
     }
-    _emit(cfg, outdir, "scale_check", fmt, INVARIANCE_COLUMNS, csv_rows, payload)
-    return EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC
+    return (_emit(cfg, "scale_check", fmt, INVARIANCE_COLUMNS, csv_rows, payload),
+            EXIT_OK if all(r.passed for r in rows) else EXIT_NUMERIC)
 
 
-def cmd_liouville(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_liouville(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     m = cfg.real("liouville.m")
     gamma = cfg.optional("liouville.gamma", cfg.real)
     # compact support makes every ladder-normalized mass decay
     evidence = True if cfg.flag("liouville.compact_support") else None
     verdict = asy.liouville_verdict(m, gamma, evidence)
-    _emit(cfg, outdir, "liouville", fmt, ("verdict",), [[verdict.verdict]],
-          dataclasses.asdict(verdict))
-    return EXIT_OK
+    return _emit(cfg, "liouville", fmt, ("verdict",), [[verdict.verdict]],
+                 dataclasses.asdict(verdict)), EXIT_OK
 
 
-def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_iterate(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     k_max = cfg.count("iterate.k_max", K_MAX_LIMIT)
     params = asy.derive_iteration_params(
         cfg.real("iterate.m"), cfg.real("iterate.gamma"),
@@ -365,32 +351,20 @@ def cmd_iterate(cfg: RunConfig, outdir: Path, fmt: str) -> int:
         "final_bound": trace.bounds[-1],
         "final_forcing": trace.forcing_terms[-1],
     }
-    _emit(cfg, outdir, "iterate", fmt, ITERATE_COLUMNS, rows, payload)
-    return EXIT_OK
+    return _emit(cfg, "iterate", fmt, ITERATE_COLUMNS, rows, payload), EXIT_OK
 
 
-def cmd_suite(cfg: RunConfig, outdir: Path, fmt: str) -> int:
-    # all or nothing: the artifacts move into outdir only once every command
-    # has returned, and a raising one leaves outdir as it was
-    with tempfile.TemporaryDirectory(prefix=".suite-", dir=outdir) as staging:
-        staging = Path(staging)
-        codes = [
-            cmd_exponents(cfg, staging, fmt),
-            cmd_construct(cfg, staging, fmt),
-            cmd_quantities(cfg, staging, fmt),
-            cmd_scale_check(cfg, staging, fmt),
-            cmd_liouville(cfg, staging, fmt),
-            cmd_iterate(cfg, staging, fmt),
-        ]
-        for path in sorted(staging.iterdir()):
-            os.replace(path, outdir / path.name)
-    return max(codes)
+def cmd_suite(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
+    results = [cmd(cfg, fmt) for cmd in (cmd_exponents, cmd_construct, cmd_quantities,
+                                         cmd_scale_check, cmd_liouville, cmd_iterate)]
+    return ({name: text for files, _ in results for name, text in files.items()},
+            max(code for _, code in results))
 
 
-def cmd_defaults(cfg: RunConfig, outdir: Path, fmt: str) -> int:
+def cmd_defaults(cfg: RunConfig, fmt: str) -> tuple[dict, int]:
     for key in sorted(DEFAULTS):
         print(f"{key} = {DEFAULTS[key]}")
-    return EXIT_OK
+    return {}, EXIT_OK
 
 
 COMMANDS = {
@@ -442,10 +416,17 @@ def main(argv=None) -> int:
             key, val = item.split("=", 1)
             entries[key.strip()] = val.strip()
         cfg = RunConfig(entries)
-        outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
-        outdir.mkdir(parents=True, exist_ok=True)
         with np.errstate(all="ignore"):  # an overflow ends in one error line, below
-            return COMMANDS[args.command](cfg, outdir, args.format)
+            files, code = COMMANDS[args.command](cfg, args.format)
+        # all or nothing: a command that raises has written nothing
+        outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (outdir / name).write_text(text, newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
+        return code
     except (CylscaleError, OverflowError) as exc:  # float ** overflows with OverflowError
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable, Optional
@@ -228,6 +229,10 @@ class ConstantProfile(Profile):
     c3: tuple = (1.0, 0.0, 0.0)
     separable = steady = True
 
+    def __post_init__(self):
+        if not (len(self.c3) == 3 and all(map(math.isfinite, self.c3))):
+            raise DomainError(f"c3 must be three finite numbers, got {self.c3}")
+
     @property
     def coef(self) -> float:
         return float(np.linalg.norm(self.c3))
@@ -249,6 +254,10 @@ class SteadyShearProfile(Profile):
     amplitude: float = 1.0
     wavenumber: float = 1.0
     steady = True
+
+    def __post_init__(self):  # grad_norm_sq squares amplitude * wavenumber
+        if not abs(self.amplitude * self.wavenumber) <= math.sqrt(sys.float_info.max):
+            raise DomainError(f"need amplitude * wavenumber with a finite square: {self}")
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)

@@ -27,6 +27,7 @@ from .fields import (
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, centered_times
 from .quantities import (
+    _check_radius,
     cylinder_gradsq_integral,
     cylinder_power_integral,
     energy_quantities,
@@ -203,6 +204,7 @@ def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
     if la ** (al - 1.0) > 1 + 1e-12:
         raise GeometryError("scaled time base exceeds the reference cylinder (alpha < 1)")
     for a in radii:
+        _check_radius(None, a)  # before (lam*a)**2
         # matched time samples: preimages of the reference samples that land
         # inside the shrunk base, so the discrete sup compares subsets
         t_ref = centered_times((la * a) ** 2, cfg.n_time)

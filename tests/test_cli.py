@@ -185,6 +185,8 @@ class TestLiouvilleAndIterate:
         (("ladder.factor=inf",), "ladder.factor"),
         (("ladder.start=1e300", "ladder.factor=1e10"), "ladder.factor"),
         (("ladder.start=nan",), "ladder.start"),
+        (("ladder.start=0",), "ladder.start must exceed 0"),
+        (("ladder.factor=1",), "ladder.factor must exceed 1"),
     ])
     def test_bad_ladder_exits_invalid(self, tmp_path, capsys, overrides, key):
         assert run(tmp_path, "quantities", *overrides) == EXIT_INVALID
@@ -290,6 +292,20 @@ class TestSuite:
         monkeypatch.setenv(OUT_ENV, str(tmp_path / "envout"))
         assert main(["exponents"]) == EXIT_OK
         assert (tmp_path / "envout" / "exponents.json").exists()
+
+    def test_out_that_is_a_file_exits_invalid(self, tmp_path, capsys):
+        # mkdir raised a bare FileExistsError, and NotADirectoryError below the file
+        path = tmp_path / "F"
+        path.write_text("kept\n")
+        for out in (path, path / "sub"):
+            assert main(["exponents", "--out", str(out)]) == EXIT_INVALID
+            assert f"cannot write to output directory {out}:" in capsys.readouterr().err
+        assert path.read_text() == "kept\n"
+
+    def test_command_that_raises_creates_no_out_directory(self, tmp_path):
+        out = tmp_path / "new"
+        assert main(["suite", "exponents.l=1e200", "--out", str(out)]) == EXIT_INVALID
+        assert not out.exists()
 
     def test_defaults_printed(self, capsys, tmp_path):
         assert run(tmp_path, "defaults") == EXIT_OK
@@ -540,16 +556,13 @@ def test_negative_pressure_coeff_gives_the_positive_d(tmp_path):
     assert d["-1"] == d["1"] and all(v > 0 for v in d["1"])
 
 
-def test_emit_refuses_non_finite_values(tmp_path):
+def test_emit_refuses_non_finite_values():
     from cylscale import NonFiniteResultError
-    from cylscale.cli import RunConfig, _emit, write_json
+    from cylscale.cli import RunConfig, _emit
 
     for rows, payload in (([[float("nan")]], {}), ([[1.0]], {"x": [0.0, float("inf")]})):
         with pytest.raises(NonFiniteResultError, match="stem"):
-            _emit(RunConfig({}), tmp_path, "stem", "both", ("x",), rows, payload)
-    assert not list(tmp_path.iterdir())
-    with pytest.raises(ValueError):
-        write_json(tmp_path / "x.json", {"x": float("nan")})
+            _emit(RunConfig({}), "stem", "both", ("x",), rows, payload)
 
 
 @pytest.mark.parametrize("value, finite", [

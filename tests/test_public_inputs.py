@@ -6,6 +6,7 @@ import builtins
 import importlib
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,10 @@ from cylscale import (
     NonFiniteResultError,
     PowerLawProfile,
     RadiusError,
+    ResolutionError,
     ScalingSpec,
     SelfSimilarProfile,
+    SingularPointError,
     SteadyShearProfile,
     closed_form_m_power_law,
     cylinder_power_integral,
@@ -37,6 +40,7 @@ from cylscale import (
     energy_quantities,
     gamma_ceiling,
     growth_envelope,
+    invariance_report,
     iterate_bound,
     lambda_for_rk,
     m_quantity,
@@ -221,6 +225,63 @@ def test_growth_envelope_mass_that_is_not_finite_is_refused(radial):
     with np.errstate(over="ignore"), pytest.raises(NonFiniteResultError,
                                                    match="inf at ladder radius 1.0"):
         growth_envelope(u, 0.0, ladder=[1.0, 2.0], radial=radial)
+
+
+@pytest.mark.parametrize("exponent, ladder", [(4.0, [1e-100, 1e-99]), (-400.0, [10.0, 20.0])])
+@pytest.mark.parametrize("radial", [False, True])
+def test_growth_envelope_weight_that_overflows_is_a_non_finite_result(exponent, ladder,
+                                                                      radial):
+    # b**-exponent raised a bare OverflowError before the mass check ran
+    u = (lambda r: np.ones_like(r)) if radial else (lambda x: np.ones(x.shape[:-1]))
+    with pytest.raises(NonFiniteResultError, match=f"ladder radius {ladder[0]}: "):
+        growth_envelope(u, exponent, ladder=ladder, radial=radial)
+
+
+def test_euler_invariance_radius_is_checked_before_it_is_squared():
+    # (lam*a)**2 raised a bare OverflowError from the matched time samples
+    spec = ScalingSpec("euler", 0.5, alpha=1.2)
+    with pytest.raises(RadiusError, match=r"radius 1e\+200 "):
+        invariance_report(P, spec, derive(2.8, 2.8, 0.9), [1e200])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SteadyShearProfile(amplitude=NAN),
+    lambda: SteadyShearProfile(wavenumber=INF),
+    lambda: SteadyShearProfile(amplitude=INF, wavenumber=0.0),
+    lambda: energy_quantities(SteadyShearProfile(amplitude=1e200), 1.0, derive(2.8, 2.8, 0.9)),
+    lambda: ConstantProfile((NAN, 0.0, 0.0)),
+    lambda: ConstantProfile((0.0, -INF, 0.0)),
+    lambda: ConstantProfile((1.0, 0.0)),
+    lambda: ConstantProfile((1.0, 0.0, 0.0, 0.0)),
+], ids=["shear-amplitude-nan", "shear-wavenumber-inf", "shear-inf-times-zero",
+        "shear-gradient-overflow", "constant-nan", "constant-inf", "constant-short",
+        "constant-long"])
+def test_shear_and_constant_parameters_are_refused_when_built(build):
+    """NaN or infinite parameters built and gave NaN velocities, a short c3 failed
+    at the first evaluation with a broadcast ValueError, and amplitude 1e200 with
+    a bare OverflowError from (A*k)**2 in grad_norm_sq."""
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_shear_gradient_at_the_edge_of_float_range_stays():
+    edge = math.sqrt(sys.float_info.max)  # edge**2 is finite
+    g = SteadyShearProfile(amplitude=edge).grad_norm_sq(np.zeros((1, 3)), -1.0)
+    assert math.isfinite(g[0])
+    with pytest.raises(DomainError, match="finite square"):
+        SteadyShearProfile(amplitude=math.nextafter(edge, INF))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: P.grad_norm_sq(np.array([[0.0, 0.0, 1.0]]), -1.0), SingularPointError,
+     "x3-axis"),
+    (lambda: sample(P, CylinderSpec(1.0), 0, 2), ResolutionError, "got 0, 2"),
+    (lambda: sup_weighted_mass(P, 1.0, 1.0, times=[]), ResolutionError,
+     "no time samples"),
+], ids=["gradient-on-axis", "sample-without-cells", "mass-without-times"])
+def test_singular_and_empty_inputs_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def _never(*args):
