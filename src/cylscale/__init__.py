@@ -84,7 +84,6 @@ from .asymptotics import (
     IterationTrace,
     LiouvilleVerdict,
     SlabBoundRow,
-    decay_recursion,
     derive_iteration_params,
     dss_slab_bounds,
     gamma_ceiling,

@@ -374,25 +374,3 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
             masses=col, passed=slope <= target + SLOPE_SLACK,
         ))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# generic decay recursion
-
-
-def decay_recursion(G0: float, b: float, k: int,
-                    factor: float = 0.5) -> list:
-    """Iterate G(theta rho) <= factor * G(rho) + b down k steps.
-
-    Returns the per-step bounds; for factor = 1/2 the closed form is
-    G_k <= 2**-k * G_0 + 2b.
-    """
-    if not 0 < factor < 1:
-        raise DomainError(f"factor must lie in (0,1), got {factor}")
-    out = [G0]
-    g = G0
-    for _ in range(k):
-        g = factor * g + b
-        out.append(g)
-    return out
-

@@ -194,8 +194,13 @@ def _unit_gauss_legendre(n: int):
     return x, w
 
 
-def gauss_legendre(a: float, b: float, n: int):
-    """Gauss-Legendre nodes/weights on [a, b]."""
+def _gauss_legendre_on(a: float, b: float, n: int):
+    """``_unit_gauss_legendre(n)`` mapped onto [a, b]."""
     x, w = _unit_gauss_legendre(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+def gauss_legendre(a: float, b: float, n: int):
+    """Gauss-Legendre nodes/weights on [a, b]."""
+    return _gauss_legendre_on(a, b, n)

@@ -31,6 +31,7 @@ from .quadrature import (
     FOUR_PI,
     QuadratureConfig,
     _cell_volume,
+    _gauss_legendre_on,
     _unit_ball_classes,
     ball_grid,
     centered_times,
@@ -534,12 +535,17 @@ NSIGMA = 7.0
 @dataclass(frozen=True)
 class GaussianBump(_SpaceTimeProduct):
     """Smooth nonnegative test function with analytic derivatives: a unit
-    Gaussian in space and time, its support cut at NSIGMA deviations."""
+    Gaussian in space and time, its support cut at NSIGMA deviations.
+
+    The local-energy kernel's weighted spatial rule is kept per ``n_space``
+    in ``_rules``, valid only because the bump cannot change.
+    """
 
     center: tuple = (0.0, 0.0, 0.0)
     t_center: float = -0.5
     sigma: float = 0.5
     sigma_t: float = 0.1
+    _rules: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.sigma < math.inf and 0 < self.sigma_t < math.inf
@@ -567,6 +573,12 @@ class GaussianBump(_SpaceTimeProduct):
         d2 *= S
         return S, d, d2
 
+    def _space_rule(self, n: int):
+        rule = self._rules.get(n)
+        if rule is None:
+            rule = self._rules[n] = _weighted_space_rule(self, n)
+        return rule
+
     def time_parts(self, tau):
         """Value and tau-derivative of the temporal factor, elementwise in tau."""
         s = np.asarray(tau, dtype=float) - self.t_center
@@ -593,8 +605,15 @@ class ExponentialWeighted(_SpaceTimeProduct):
     base: GaussianBump
     rate: float
 
+    def __post_init__(self):
+        if not -math.inf < self.rate < math.inf:
+            raise DomainError(f"need a finite rate: {self}")
+
     def space_parts(self, y):
         return self.base.space_parts(y)
+
+    def _space_rule(self, n: int):
+        return self.base._space_rule(n)
 
     def time_parts(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -614,11 +633,28 @@ class ExponentialWeighted(_SpaceTimeProduct):
 def _testfn_grid(testfn, n: int):
     """Tensor Gauss-Legendre points (n**3, 3) and weights over the support box."""
     lo, hi = testfn.space_box
-    (x, wx), (y, wy), (z, wz) = (gauss_legendre(float(lo[j]), float(hi[j]), n)
+    (x, wx), (y, wy), (z, wz) = (_gauss_legendre_on(float(lo[j]), float(hi[j]), n)
                                  for j in range(3))
     pts = _lattice(x, y, z).reshape(-1, 3)
     wts = (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
     return pts, wts
+
+
+def _weighted_space_rule(testfn, n: int):
+    """Read-only (pts, wS, wgradS, wlapS): the points of ``_testfn_grid`` and
+    the test function's S, grad S and lap S there, times the cell weights."""
+    pts, wts = _testfn_grid(testfn, n)
+    parts = testfn.space_parts(pts)
+    if type(testfn) is not GaussianBump:  # another test function may still hold its factors
+        parts = [np.array(a, dtype=float) for a in parts]
+    wS, wgradS, wlapS = parts  # weighted in place
+    wS *= wts
+    for j in range(3):
+        np.multiply(wgradS[:, j], wts, out=wgradS[:, j])
+    wlapS *= wts
+    for a in (pts, wS, wgradS, wlapS):
+        a.flags.writeable = False
+    return pts, wS, wgradS, wlapS
 
 
 def _flow_moments(profile, pts, t, wS, wgradS, wlapS, viscous: bool):
@@ -673,11 +709,13 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
     residual is zero up to quadrature error.
 
     The test function is a product S(y) T(tau), so S, grad S and lap S are
-    built once per call and the time integral is a Gauss-Legendre sum of a
-    few spatial moments against T and dT/dtau.
+    built once per test function and ``n_space`` and the time integral is a
+    Gauss-Legendre sum of a few spatial moments against T and dT/dtau.
     """
     if variant not in _VARIANTS:
         raise DomainError(f"unknown variant {variant!r}; expected one of {_VARIANTS}")
+    if not -math.inf < tau0 < math.inf:
+        raise DomainError(f"tau0 must be finite, got {tau0}")
     physical = variant in ("standard-ns", "euler-limit")
     if not physical and not isinstance(profile, SelfSimilarProfile):
         raise DomainError("similarity variants need a SelfSimilarProfile")
@@ -693,21 +731,12 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
             raise SupportError("test function support contains the singular point x = 0")
 
     n = cfg.n_space
-    pts, wts = _testfn_grid(testfn, n)
+    pts, wS, wgradS, wlapS = testfn._space_rule(n)
     t_hi = min(thi, tau0)
     if t_hi <= tlo:
         tnodes, twts = np.array([]), np.array([])
     else:
         tnodes, twts = gauss_legendre(tlo, t_hi, max(cfg.n_time, n))
-    parts = testfn.space_parts(pts)
-    bump = testfn.base if type(testfn) is ExponentialWeighted else testfn
-    if type(bump) is not GaussianBump:  # another test function may still hold its factors
-        parts = [np.array(a, dtype=float) for a in parts]
-    wS, wgradS, wlapS = parts  # weighted in place
-    wS *= wts
-    for j in range(3):
-        np.multiply(wgradS[:, j], wts, out=wgradS[:, j])
-    wlapS *= wts
     T, dT = testfn.time_parts(tnodes)
     T0 = float(testfn.time_parts(tau0)[0])
 

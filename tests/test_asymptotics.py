@@ -14,7 +14,6 @@ from cylscale import (
     QuadratureConfig,
     SelfSimilarProfile,
     azimuthal_unit,
-    decay_recursion,
     derive_iteration_params,
     dss_slab_bounds,
     gamma_ceiling,
@@ -318,16 +317,3 @@ class TestDssSlabBounds:
         # exp(2 * 2 / 2.5) = e^1.6 ~ 4.95 > 4
         with pytest.raises(DomainError):
             dss_slab_bounds(dss, [4.0, 8.0], m=0.55)
-
-
-class TestDecayRecursion:
-    def test_half_factor_closed_form(self):
-        out = decay_recursion(8.0, b=0.25, k=20, factor=0.5)
-        # G_k <= 2^-k G_0 + 2b
-        for k, g in enumerate(out):
-            assert g <= 2.0**-k * 8.0 + 2 * 0.25 + 1e-12
-        assert out[-1] == pytest.approx(2 * 0.25, abs=1e-4)
-
-    def test_factor_guard(self):
-        with pytest.raises(DomainError):
-            decay_recursion(1.0, 0.1, 5, factor=1.5)

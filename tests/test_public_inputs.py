@@ -20,6 +20,7 @@ from cylscale import (
     CylscaleError,
     DiscreteSelfSimilarProfile,
     DomainError,
+    ExponentialWeighted,
     GaussianBump,
     IterationParams,
     NonFiniteResultError,
@@ -106,6 +107,10 @@ CASES = {
     "bump-center-short": lambda: GaussianBump(center=(0.0, 0.0)),
     "bump-center-long": lambda: GaussianBump(center=(0.0, 0.0, 0.0, 1.0)),
     "bump-t-center-inf": lambda: GaussianBump(t_center=-INF),
+    # NaN residuals at a NaN rate, (0.0, nan, nan) at an infinite one
+    "weighted-rate-nan": lambda: ExponentialWeighted(GaussianBump(), NAN),
+    "weighted-rate-inf": lambda: ExponentialWeighted(GaussianBump(), INF),
+    "weighted-rate-minus-inf": lambda: ExponentialWeighted(GaussianBump(), -INF),
     # a bare TypeError at the first evaluation, a ZeroDivisionError, silent NaNs
     "similar-no-U": lambda: SelfSimilarProfile(alpha=1.5),
     "similar-alpha-minus1": lambda: SelfSimilarProfile(alpha=-1.0, U=U),

@@ -1,5 +1,6 @@
 """Tests for the scaled-energy quantities against independent closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -888,3 +889,90 @@ class TestKernelBits:
         fresh = b.space_parts(_testfn_grid(b, 6)[0])
         assert all(h.tobytes() == f.tobytes() for h, f in zip(held.held, fresh))
         assert returned and all(a.tobytes() == c.tobytes() for a, c in returned)
+
+
+class TestSpaceRuleMemo:
+    """A test function keeps its weighted spatial rule per n_space, so only the
+    first call at each n builds the lattice and the factors."""
+
+    cases = TestKernelBits.cases
+
+    @staticmethod
+    def _fresh(testfn):
+        """An equal test function whose memo is still empty."""
+        if isinstance(testfn, ExponentialWeighted):
+            return ExponentialWeighted(dataclasses.replace(testfn.base), testfn.rate)
+        return dataclasses.replace(testfn)
+
+    def test_warm_call_builds_no_lattice_and_no_factors(self, monkeypatch):
+        import cylscale.quantities as quantities
+
+        bump = self._fresh(TestLocalEnergy._bump)
+        calls = []
+        space_parts = GaussianBump.space_parts
+        monkeypatch.setattr(GaussianBump, "space_parts",
+                            lambda self, y: calls.append(1) or space_parts(self, y))
+        profile = SteadyShearProfile(amplitude=0.5, wavenumber=1.5)
+        cfg = QuadratureConfig(n_space=6)
+        cold = local_energy_residual(profile, bump, -0.4, "euler-limit", cfg)
+        rule = bump._space_rule(6)
+        assert len(calls) == 1
+
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice rebuilt on a warm call")
+
+        monkeypatch.setattr(quantities, "_testfn_grid", no_lattice)
+        assert local_energy_residual(profile, bump, -0.4, "euler-limit", cfg) == cold
+        assert len(calls) == 1
+        again = bump._space_rule(6)
+        assert all(a is b for a, b in zip(again, rule))
+        assert not any(a.flags.writeable for a in rule)
+        assert [a.shape for a in rule] == [(216, 3), (216,), (216, 3), (216,)]
+
+    def test_weighted_and_plain_bump_share_one_entry(self):
+        bump = self._fresh(TestLocalEnergy._bump)
+        weighted = ExponentialWeighted(bump, 0.7)
+        rule = weighted._space_rule(4)
+        assert bump._space_rule(4) is rule
+        assert list(bump._rules) == [4]
+
+    def test_replaced_bump_gets_a_fresh_entry(self):
+        bump = self._fresh(TestLocalEnergy._bump)
+        rule = bump._space_rule(4)
+        wider = dataclasses.replace(bump, sigma=0.6)
+        assert wider._rules == {}
+        assert wider._space_rule(4)[1].tobytes() != rule[1].tobytes()
+        assert bump._space_rule(4) is rule
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        warm, cold = GaussianBump(), GaussianBump()
+        warm._space_rule(3)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == (
+            "GaussianBump(center=(0.0, 0.0, 0.0), t_center=-0.5, sigma=0.5, sigma_t=0.1)")
+        assert ExponentialWeighted(warm, 0.5) == ExponentialWeighted(cold, 0.5)
+
+    @pytest.mark.parametrize("variant", list(TestKernelBits.cases))
+    def test_warm_call_repeats_the_cold_bits(self, variant):
+        profile, testfn = self.cases[variant]
+        fn = self._fresh(testfn)
+        cfg = QuadratureConfig(n_space=8)
+        cold = repr(local_energy_residual(profile, fn, -0.4, variant, cfg))
+        assert repr(local_energy_residual(profile, fn, -0.4, variant, cfg)) == cold
+        assert repr(local_energy_residual(profile, self._fresh(testfn), -0.4, variant,
+                                          cfg)) == cold
+
+    @pytest.mark.parametrize("tau0", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("variant", list(TestKernelBits.cases))
+    def test_non_finite_tau0_rejected_before_quadrature(self, monkeypatch, variant, tau0):
+        import cylscale.quantities as quantities
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature built before tau0 was checked")
+
+        monkeypatch.setattr(quantities, "_testfn_grid", no_quadrature)
+        monkeypatch.setattr(quantities, "gauss_legendre", no_quadrature)
+        profile, testfn = self.cases[variant]
+        with pytest.raises(DomainError, match="tau0"):
+            local_energy_residual(profile, self._fresh(testfn), tau0, variant,
+                                  QuadratureConfig(n_space=4))
