@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     FileFormatError,
     GeometryError,
-    InequalityStructureError,
     InfeasibleDeltaError,
     NonFiniteResultError,
     NonFiniteSampleError,
@@ -56,14 +55,12 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .quantities import (
     ExponentialWeighted,
     GaussianBump,
-    InequalityRatios,
     QuantityReport,
     QuantityRow,
     closed_form_m_power_law,
     cylinder_gradsq_integral,
     cylinder_power_integral,
     energy_quantities,
-    inequality_ratios,
     local_energy_residual,
     m_quantity,
     quantity_report,

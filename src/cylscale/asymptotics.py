@@ -243,6 +243,10 @@ def liouville_verdict(m: float, gamma: Optional[float] = None,
     evidence, which the checklist records.
     """
     m1 = 2.0 * m - 1.0
+    if not -math.inf < m1 < math.inf:
+        raise DomainError(f"m1 = 2m - 1 must be finite, got {m1} at m={m}")
+    if gamma is not None and not 0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be nonnegative and finite, got {gamma}")
     checklist = {
         "profile_kind": "selfsimilar",
         "m": m,

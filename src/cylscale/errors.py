@@ -37,10 +37,6 @@ class DivergentIntegralError(CylscaleError, ValueError):
     """Exponents make an integral infinite."""
 
 
-class InequalityStructureError(CylscaleError, ValueError):
-    """A ratio has a zero denominator against a nonzero numerator."""
-
-
 class SupportError(CylscaleError, ValueError):
     """A test function's support meets the singular locus."""
 

@@ -9,6 +9,7 @@ certificate is exact; with any float among them the identities hold to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -478,6 +479,8 @@ class WeightedKappa:
 
 def weighted_kappa(s: Number, l: Number, n: Number) -> WeightedKappa:
     """Interpolated weight between the mixed-norm exponents kappa and q."""
+    if not -math.inf < n < math.inf:
+        raise DomainError(f"n must be finite, got {n}")
     s, l, n = _pair(s, l, n)
     k = kappa(s, l)
     q = q_interp(s, l)

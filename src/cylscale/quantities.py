@@ -18,14 +18,13 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    InequalityStructureError,
     NonFiniteResultError,
     RadiusError,
     ResolutionError,
     SupportError,
 )
 from .exponents import ExponentParams, _radius_exponent, kappa
-from .fields import GridField, Profile, SelfSimilarProfile, _dot3, _lattice
+from .fields import GridField, PowerLawProfile, Profile, SelfSimilarProfile, _dot3, _lattice
 from .quadrature import (
     DEFAULT_CONFIG,
     FOUR_PI,
@@ -354,6 +353,7 @@ def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
     Raises DivergentIntegralError when either separated integral is infinite.
     """
     _check_mixed(None, R, s, l, m0)
+    PowerLawProfile(c, alpha_p, gamma_p)  # refuses the parameters the profile refuses
     k = kappa(s, l)
     radial = power_radial_integral(-alpha_p * gamma_p * s, R)  # R**(3-a s g)/(3-a s g)
     bl = -(1 - alpha_p) * gamma_p * l / 2.0
@@ -435,74 +435,6 @@ def quantity_report(field, radii: Sequence[float], params: ExponentParams,
 
 
 # ---------------------------------------------------------------------------
-# inequality-ratio diagnostics
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        if lhs == 0.0:
-            return 0.0
-        raise InequalityStructureError(
-            f"ratio undefined: lhs={lhs} positive while rhs=0"
-        )
-    return lhs / rhs
-
-
-@dataclass(frozen=True)
-class InequalityRatios:
-    """LHS/RHS ratios of the standard local estimates; diagnostics only.
-
-    Only the invariance of these ratios under exact rescaling is asserted
-    anywhere; the universal constants are existential.
-    """
-
-    r: float
-    rho: float
-    multiplicative_weighted: float
-    multiplicative: float
-    pressure_decay: float
-    energy_local: float
-
-
-def inequality_ratios(field, r: float, rho: float, params: ExponentParams,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> InequalityRatios:
-    """Ratios for the weighted multiplicative estimate, the unit-weight
-    multiplicative estimate, the pressure decay estimate and the local
-    energy estimate (the last evaluated at (r, 2r))."""
-    if not 0 < r < rho:
-        raise RadiusError(f"need 0 < r < rho, got r={r}, rho={rho}")
-    _check_radius(field, 2 * r)
-    _check_radius(field, rho)
-    m = float(params.m)
-    m1 = float(params.m1)
-
-    A = _mass_sup(field, r, cfg)
-    E = _cylinder_integral(field, ("gradsq",), r, cfg)
-    C = _cylinder_integral(field, ("speed", 3.0), r, cfg)
-
-    Am1, Em, Cmt = _weighted(r, m1, A), _weighted(r, m, E), _weighted(r, 2.0 * m, C)
-    pref = r ** (1.5 * m1 + 0.5 - 2.0 * m)
-    mult_w = _ratio(Cmt, pref * Am1**0.75 * (r ** (m - m1) * Em + Am1) ** 0.75)
-
-    A1, E1, C1 = _weighted(r, 1.0, A), _weighted(r, 1.0, E), _weighted(r, 2.0, C)
-    mult = _ratio(C1, A1**0.75 * (E1 + A1) ** 0.75)
-
-    D1r = cylinder_power_integral(field, "pressure", 1.5, r, 2.0, cfg)
-    D1rho = cylinder_power_integral(field, "pressure", 1.5, rho, 2.0, cfg)
-    C1rho = cylinder_power_integral(field, "speed", 3.0, rho, 2.0, cfg)
-    press = _ratio(D1r, (r / rho) * D1rho + (rho / r) ** 2 * C1rho)
-
-    C12r = cylinder_power_integral(field, "speed", 3.0, 2 * r, 2.0, cfg)
-    D12r = cylinder_power_integral(field, "pressure", 1.5, 2 * r, 2.0, cfg)
-    energy = _ratio(A1 + E1, C12r ** (2.0 / 3.0) + C12r + D12r)
-
-    return InequalityRatios(
-        r=r, rho=rho, multiplicative_weighted=mult_w, multiplicative=mult,
-        pressure_decay=press, energy_local=energy,
-    )
-
-
-# ---------------------------------------------------------------------------
 # local energy balance
 
 
@@ -572,6 +504,10 @@ class GaussianBump(_SpaceTimeProduct):
         d2 -= 3.0 / self.sigma**2
         d2 *= S
         return S, d, d2
+
+    def __getstate__(self):
+        # pickles and copies start with an empty memo of their own
+        return {**self.__dict__, "_rules": {}}
 
     def _space_rule(self, n: int):
         rule = self._rules.get(n)

@@ -44,10 +44,12 @@ from cylscale import (
     invariance_report,
     iterate_bound,
     lambda_for_rk,
+    liouville_verdict,
     m_quantity,
     sample,
     steady_to_discrete,
     sup_weighted_mass,
+    weighted_kappa,
 )
 
 NAN, INF = math.nan, math.inf
@@ -135,6 +137,20 @@ CASES = {
     "closed-l-nan": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, NAN, 0.9, 1.0),
     "closed-m0-nan": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, 2.8, NAN, 1.0),
     "closed-m0-negative": lambda: closed_form_m_power_law(1.0, 0.5, 1.1, 2.8, 2.8, -0.1, 1.0),
+    # a complex value at c < 0, NaNs at a NaN c or alpha_p: the profile's own checks
+    "closed-c-negative": lambda: closed_form_m_power_law(-1.0, 0.5, 1.1, 2.8, 2.8, 0.9, 1.0),
+    "closed-c-nan": lambda: closed_form_m_power_law(NAN, 0.5, 1.1, 2.8, 2.8, 0.9, 1.0),
+    "closed-alpha-nan": lambda: closed_form_m_power_law(1.0, NAN, 1.1, 2.8, 2.8, 0.9, 1.0),
+    "closed-gamma-one": lambda: closed_form_m_power_law(1.0, 0.5, 1.0, 2.8, 2.8, 0.9, 1.0),
+    # OutOfScope at a NaN m, Trivial at m = -inf or a negative gamma, and
+    # Inconclusive with a NaN in its checklist at a NaN gamma
+    "liouville-m-nan": lambda: liouville_verdict(NAN, 0.5, True),
+    "liouville-m-minus-inf": lambda: liouville_verdict(-INF, 0.5),
+    "liouville-gamma-negative": lambda: liouville_verdict(0.55, -5.0, True),
+    "liouville-gamma-nan": lambda: liouville_verdict(0.55, NAN, True),
+    "liouville-gamma-inf": lambda: liouville_verdict(0.55, INF, True),
+    # kappa_n and m0* came back NaN
+    "weighted-kappa-n-nan": lambda: weighted_kappa(2.8, 2.8, NAN),
 }
 
 

@@ -1,7 +1,9 @@
 """Tests for the scaled-energy quantities against independent closed forms."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from cylscale import (
     cylinder_power_integral,
     derive,
     energy_quantities,
-    inequality_ratios,
     local_energy_residual,
     m_quantity,
     quantity_report,
@@ -394,37 +395,6 @@ class TestReports:
         assert rep.type1_sup == max(max(r.A, r.E, r.C) for r in rep.rows)
         assert [r.r for r in rep.rows] == [0.5, 1.0, 2.0]
 
-    def test_inequality_ratios_scale_invariant(self):
-        """The diagnostic ratios of the power-law profile are invariant under
-        the viscous rescaling r -> lam r (every ingredient rescales equally)."""
-        from cylscale import ScalingSpec, rescale
-
-        prof = PowerLawProfile(c=1.1, alpha_p=0.4, gamma_p=1.05)
-        lam = 0.5
-        scaled = rescale(prof, ScalingSpec("navier-stokes", lam))
-        r1 = inequality_ratios(prof, lam * 0.25, lam * 0.5, self.params)
-        r2 = inequality_ratios(scaled, 0.25, 0.5, self.params)
-        for name in ("multiplicative_weighted", "multiplicative",
-                     "pressure_decay", "energy_local"):
-            assert getattr(r1, name) == pytest.approx(getattr(r2, name), rel=1e-9)
-
-    def test_ratio_zero_guard(self):
-        from cylscale import InequalityStructureError
-
-        zero = ConstantProfile((0.0, 0.0, 0.0))
-        row = inequality_ratios(zero, 0.25, 0.5, self.params)
-        assert row.multiplicative == 0.0
-        from cylscale.quantities import _ratio
-
-        assert _ratio(0.0, 0.0) == 0.0
-        with pytest.raises(InequalityStructureError):
-            _ratio(1.0, 0.0)
-
-    @pytest.mark.parametrize("r, rho", [(0.5, 0.5), (0.6, 0.5), (0.0, 0.5)])
-    def test_inequality_ratios_need_r_below_rho(self, r, rho):
-        with pytest.raises(RadiusError, match="0 < r < rho"):
-            inequality_ratios(ConstantProfile(), r, rho, self.params)
-
 
 class TestGradedTimeRule:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -455,39 +425,13 @@ def _row_from_primitives(field, r, params, cfg):
     }
 
 
-def _ratios_from_primitives(field, r, rho, params, cfg):
-    """inequality_ratios spelled out with one public primitive per term."""
-    from cylscale.quantities import _ratio
-
-    m, m1 = float(params.m), float(params.m1)
-    Am1 = sup_weighted_mass(field, r, m1, cfg)
-    Em = cylinder_gradsq_integral(field, r, m, cfg)
-    Cmt = cylinder_power_integral(field, "speed", 3.0, r, 2.0 * m, cfg)
-    pref = r ** (1.5 * m1 + 0.5 - 2.0 * m)
-    A1 = sup_weighted_mass(field, r, 1.0, cfg)
-    E1 = cylinder_gradsq_integral(field, r, 1.0, cfg)
-    C1 = cylinder_power_integral(field, "speed", 3.0, r, 2.0, cfg)
-    D1r = cylinder_power_integral(field, "pressure", 1.5, r, 2.0, cfg)
-    D1rho = cylinder_power_integral(field, "pressure", 1.5, rho, 2.0, cfg)
-    C1rho = cylinder_power_integral(field, "speed", 3.0, rho, 2.0, cfg)
-    C12r = cylinder_power_integral(field, "speed", 3.0, 2 * r, 2.0, cfg)
-    D12r = cylinder_power_integral(field, "pressure", 1.5, 2 * r, 2.0, cfg)
-    return {
-        "multiplicative_weighted": _ratio(
-            Cmt, pref * Am1**0.75 * (r ** (m - m1) * Em + Am1) ** 0.75),
-        "multiplicative": _ratio(C1, A1**0.75 * (E1 + A1) ** 0.75),
-        "pressure_decay": _ratio(D1r, (r / rho) * D1rho + (rho / r) ** 2 * C1rho),
-        "energy_local": _ratio(A1 + E1, C12r ** (2.0 / 3.0) + C12r + D12r),
-    }
-
-
 _POWER_LAW = PowerLawProfile(c=1.1, alpha_p=0.5, gamma_p=1.0857, pressure_coeff=0.6)
 
 
 class TestSharedBackend:
-    """energy_quantities and inequality_ratios integrate each quantity once
-    per radius and weight it afterwards; the values must be exactly those of
-    the public primitives, one call per weight, on every route."""
+    """energy_quantities integrates each quantity once per radius and weights
+    it afterwards; the values must be exactly those of the public primitives,
+    one call per weight, on every route."""
 
     params = derive(2.8, 2.6, 0.9)
     routes = [
@@ -506,13 +450,6 @@ class TestSharedBackend:
             row = energy_quantities(field, r, self.params, cfg)
             for name, want in _row_from_primitives(field, r, self.params, cfg).items():
                 assert getattr(row, name) == want, (r, name)
-
-    @pytest.mark.parametrize("field, cfg", routes, ids=ids)
-    def test_ratios_equal_primitives(self, field, cfg):
-        got = inequality_ratios(field, 0.3, 0.5, self.params, cfg)
-        for name, want in _ratios_from_primitives(field, 0.3, 0.5, self.params,
-                                                  cfg).items():
-            assert getattr(got, name) == want, name
 
     def test_graded_rule_shared_and_read_only(self):
         from cylscale.quadrature import _graded_rule, graded_nodes
@@ -951,6 +888,23 @@ class TestSpaceRuleMemo:
         assert repr(warm) == repr(cold) == (
             "GaussianBump(center=(0.0, 0.0, 0.0), t_center=-0.5, sigma=0.5, sigma_t=0.1)")
         assert ExponentialWeighted(warm, 0.5) == ExponentialWeighted(cold, 0.5)
+
+    def test_pickles_and_copies_leave_the_memo_behind(self):
+        # a warm bump once pickled its n 16 entry, 262,578 bytes against 164 cold
+        warm, cold = GaussianBump(), GaussianBump()
+        profile = SteadyShearProfile(amplitude=0.5, wavenumber=1.5)
+        cfg = QuadratureConfig(n_space=16)
+        want = repr(local_energy_residual(profile, warm, -0.4, "standard-ns", cfg))
+        assert list(warm._rules) == [16]
+        assert len(pickle.dumps(warm)) == len(pickle.dumps(cold))
+        for fn in (warm, ExponentialWeighted(warm, 0.7)):
+            for other in (pickle.loads(pickle.dumps(fn)), copy.deepcopy(fn)):
+                assert other == fn
+                bump = getattr(other, "base", other)
+                assert bump._rules == {} and bump._rules is not warm._rules
+        twin = pickle.loads(pickle.dumps(warm))
+        assert repr(local_energy_residual(profile, twin, -0.4, "standard-ns", cfg)) == want
+        assert list(warm._rules) == [16]
 
     @pytest.mark.parametrize("variant", list(TestKernelBits.cases))
     def test_warm_call_repeats_the_cold_bits(self, variant):
