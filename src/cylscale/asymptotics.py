@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteResultError
+from .errors import DomainError, _finite
 from .fields import DiscreteSelfSimilarProfile, Profile, _norm3
 from .quadrature import DEFAULT_CONFIG, FOUR_PI, QuadratureConfig, ball_grid, graded_nodes
 from .quantities import _ball_integral, _check_radius, _gradsq_fd
@@ -61,7 +61,8 @@ class IterationParams:
     @property
     def contraction(self) -> float:
         """The per-step factor theta * 2**(gamma*m1) of the profile term."""
-        return self.theta * 2.0 ** (self.gamma * self.m1)
+        return _finite(lambda: self.theta * 2.0 ** (self.gamma * self.m1),
+                       lambda: f"contraction 2**(gamma*m1) leaves the float range: {self}")
 
 
 def gamma_ceiling(m1: float) -> float:
@@ -136,12 +137,17 @@ def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTra
     trace = IterationTrace(case_tag=params.case_tag)
     rho = params.contraction
     C = params.C_force
-    for k in range(k_max + 1):
-        p, a = rho**k * C, forcing_term(params, R, k)
-        trace.ks.append(k)
-        trace.profile_terms.append(p)
-        trace.forcing_terms.append(a)
-        trace.bounds.append(p + a)
+
+    def fill():
+        for k in range(k_max + 1):
+            p, a = rho**k * C, forcing_term(params, R, k)
+            trace.ks.append(k)
+            trace.profile_terms.append(p)
+            trace.forcing_terms.append(a)
+            trace.bounds.append(p + a)
+        return trace.bounds
+    _finite(fill, lambda: f"iteration bounds to k={k_max} at R={R} leave the float range: "
+                          f"{params}")
     trace.verdict = "converges-to-zero" if rho < 1 else "inconclusive"
     return trace
 
@@ -191,10 +197,8 @@ def growth_envelope(u: Callable, exponent: float,
         _check_radius(None, b)
     masses = []
     for b in ladder:
-        try:
-            weight = b**-exponent
-        except OverflowError:
-            raise NonFiniteResultError(f"ladder radius {b}: {b}**{-exponent} overflows") from None
+        weight = _finite(lambda: b**-exponent,
+                         lambda: f"ladder radius {b}: {b}**{-exponent} overflows")
         if radial:
             nodes, weights = graded_nodes(b, cfg.n_radial, cfg.graded_levels)
             vals = np.abs(np.asarray(u(nodes), dtype=float))
@@ -205,9 +209,8 @@ def growth_envelope(u: Callable, exponent: float,
             if vals.ndim == pts.ndim:
                 vals = _norm3(vals)
             raw = float(np.sum(np.abs(vals) ** power)) * w
-        masses.append(weight * raw)
-        if not math.isfinite(masses[-1]):
-            raise NonFiniteResultError(f"growth envelope mass {masses[-1]} at ladder radius {b}")
+        masses.append(_finite(lambda: weight * raw, lambda: f"growth envelope mass "
+                              f"{weight * raw} at ladder radius {b}"))
     sup = np.maximum.accumulate(masses)
     slope = _fit_slope(ladder, masses)
     return GrowthEnvelope(

@@ -202,7 +202,10 @@ class RunConfig:
         for key, value, low in (("ladder.start", start, 0), ("ladder.factor", factor, 1)):
             if not value > low:
                 raise ConfigError(f"{key} must exceed {low}, got {value!r}")
-        radii = [start * factor**j for j in range(count)]  # main reports an OverflowError
+        try:
+            radii = [start * factor**j for j in range(count)]
+        except OverflowError:
+            radii = [math.inf]
         if radii[-1] == math.inf:
             raise ConfigError(f"ladder radius overflows: ladder.start={start!r} times "
                               f"ladder.factor={factor!r} to the power {count - 1}")
@@ -416,7 +419,7 @@ def main(argv=None) -> int:
             key, val = item.split("=", 1)
             entries[key.strip()] = val.strip()
         cfg = RunConfig(entries)
-        with np.errstate(all="ignore"):  # an overflow ends in one error line, below
+        with np.errstate(all="ignore"):  # numpy's warnings only; overflows raise typed errors
             files, code = COMMANDS[args.command](cfg, args.format)
         # all or nothing: a command that raises has written nothing
         outdir = args.out or Path(os.environ.get(OUT_ENV, "."))
@@ -427,7 +430,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write to output directory {outdir}: {exc}") from exc
         return code
-    except (CylscaleError, OverflowError) as exc:  # float ** overflows with OverflowError
+    except CylscaleError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

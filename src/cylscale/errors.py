@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class CylscaleError(Exception):
     """Base class for all package errors."""
@@ -51,3 +53,18 @@ class FileFormatError(CylscaleError, ValueError):
 
 class NonFiniteResultError(CylscaleError, ValueError):
     """A computed result is NaN or infinite, so no artifact can hold it."""
+
+
+def _finite(compute, describe):
+    """compute(), a number or a list or tuple of them, once every float among
+    them is finite (ints and Fractions are exact); an OverflowError or a NaN
+    or infinite float raises NonFiniteResultError(describe())."""
+    try:
+        value = compute()
+        items = value if isinstance(value, (list, tuple)) else [value]
+        finite = all(math.isfinite(v) for v in items if isinstance(v, float))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise NonFiniteResultError(describe())
+    return value

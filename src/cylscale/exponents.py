@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
-from .errors import DegenerateInputError, DomainError, InfeasibleDeltaError
+from .errors import DegenerateInputError, DomainError, InfeasibleDeltaError, _finite
 
 Number = Union[int, float, Fraction]
 
@@ -38,9 +38,9 @@ def _exact(*values):
 
 
 def _pair(s: Number, l: Number, *rest):
-    """``_exact(s, l, *rest)`` once s >= 1 and l >= 1 is checked."""
-    if not (1 <= s and 1 <= l):
-        raise DomainError(f"require s >= 1 and l >= 1, got s={s}, l={l}")
+    """``_exact(s, l, *rest)`` once s >= 1 and l >= 1 are checked finite."""
+    if not (1 <= s < math.inf and 1 <= l < math.inf):
+        raise DomainError(f"require finite s >= 1 and l >= 1, got s={s}, l={l}")
     return _exact(s, l, *rest)
 
 
@@ -129,13 +129,16 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
     m0_bound = None
     if k > 0:
         m0_bound = 2 * (6 / s + 5 / l - 3) / (5 * mid)
+    q = q_interp(s, l)
+    _finite(lambda: (k, q, alpha, m1, gamma_profile, m0_bound),
+            lambda: f"exponents of s={s}, l={l}, m0={m0} leave the float range")
 
     return ExponentParams(
         s=s,
         l=l,
         m0=m0,
         kappa=k,
-        q_interp=q_interp(s, l),
+        q_interp=q,
         alpha=alpha,
         m=m,
         m1=m1,
@@ -490,6 +493,8 @@ def weighted_kappa(s: Number, l: Number, n: Number) -> WeightedKappa:
     if k > 0:
         m0_star = kappa_n / k
         interior = 0 < m0_star < 1
+    _finite(lambda: (kappa_n, m0_star),
+            lambda: f"kappa_n of s={s}, l={l}, n={n} leaves the float range")
     return WeightedKappa(
         n=n, kappa=k, q_interp=q, kappa_n=kappa_n,
         m0_star=m0_star, m0_star_interior=interior,

@@ -22,6 +22,7 @@ from .errors import (
     RadiusError,
     ResolutionError,
     SupportError,
+    _finite,
 )
 from .exponents import ExponentParams, _radius_exponent, kappa
 from .fields import GridField, PowerLawProfile, Profile, SelfSimilarProfile, _dot3, _lattice
@@ -57,11 +58,8 @@ def _separable_powers(profile: Profile, kind: str):
     if kind == "speed":
         return profile.coef, profile.radial_power, profile.time_power
     if kind == "pressure":
-        try:
-            coef = abs(profile.pressure_coeff) * profile.coef**2
-        except OverflowError:
-            raise NonFiniteResultError(f"pressure moments overflow: c**2 at "
-                                       f"c={profile.coef}") from None
+        coef = _finite(lambda: abs(profile.pressure_coeff) * profile.coef**2,
+                       lambda: f"pressure moments overflow: c**2 at c={profile.coef}")
         return coef, 2 * profile.radial_power, 2 * profile.time_power
     return None
 
@@ -86,7 +84,7 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
         else:
             nodes, weights = graded_nodes(r, cfg.n_radial, cfg.graded_levels)
             radial = float(np.sum(weights * nodes ** (2 + a * p)))
-        try:
+        try:  # inline, not _finite: this is the analytic routes' hottest call
             value = FOUR_PI * coef**p * radial * (-t) ** (b * p)
         except OverflowError:
             value = math.inf
@@ -273,10 +271,11 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     """
     T = r**2
     q = None if l is None else l / key[1]
+    what = lambda: f"the integral over Q(r) of {key} at r={r}, l={l} leaves the float range"
     if isinstance(field, GridField):
         idx, dt = _grid_times_in(field, T)
         I = _grid_ball_sums(field, key, r)[idx]
-        return float(np.sum(I if q is None else I**q)), dt
+        return _finite(lambda: float(np.sum(I if q is None else I**q)), what), dt
     if q is None:
         G = lambda t: _ball_integral(field, key, r, t, cfg)
     else:
@@ -288,11 +287,13 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     e = None if sep is None else sep[2] * power
     # int_{-T}^0 G(t) dt: one sample if steady, the exact power law if separable
     if field.steady:
-        value = G(-T / 2) * T
+        integral = lambda: G(-T / 2) * T
     elif e is not None and cfg.time_rule == "exact":
-        value = G(-T / 2) / (T / 2) ** e * power_time_integral(e, T)
+        integral = lambda: G(-T / 2) / (T / 2) ** e * power_time_integral(e, T)
     else:
-        value = graded_time_quadrature(lambda u: np.array([G(-float(v)) for v in u]), T, cfg)
+        integral = lambda: graded_time_quadrature(
+            lambda u: np.array([G(-float(v)) for v in u]), T, cfg)
+    value = _finite(integral, what)
     if value < sys.float_info.min and T * r**3 < sys.float_info.min:  # |Q(r)| underflows too
         raise RadiusError(f"radius {r} is too small: the integral over Q(r) underflows")
     return value, 1.0
@@ -339,7 +340,8 @@ def m_quantity(field, R: float, s: float, l: float, m0: float,
     _check_mixed(field, R, s, l, m0)
     k = kappa(s, l)
     M = _weighted(R, k, _cylinder_integral(field, ("speed", s), R, cfg, l))
-    return M, R ** ((1.0 - m0) * k) * M
+    return M, _finite(lambda: R ** ((1.0 - m0) * k) * M,
+                      lambda: f"M_att at R={R} leaves the float range")
 
 
 def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
@@ -358,7 +360,8 @@ def closed_form_m_power_law(c: float, alpha_p: float, gamma_p: float,
     radial = power_radial_integral(-alpha_p * gamma_p * s, R)  # R**(3-a s g)/(3-a s g)
     bl = -(1 - alpha_p) * gamma_p * l / 2.0
     time_factor = power_time_integral(bl, R**2)
-    value = c**l * (FOUR_PI * radial) ** (l / s) * time_factor * R ** (-k * m0)
+    value = _finite(lambda: c**l * (FOUR_PI * radial) ** (l / s) * time_factor * R ** (-k * m0),
+                    lambda: f"closed-form M at R={R} with c={c}, l={l} leaves the float range")
     return value, _radius_exponent(k, m0, alpha_p, gamma_p, s, l)
 
 
@@ -489,21 +492,11 @@ class GaussianBump(_SpaceTimeProduct):
     def space_parts(self, y):
         """Value, gradient and Laplacian of the spatial factor at points y of
         shape (..., 3)."""
-        y = np.asarray(y, dtype=float)
-        d = np.empty(y.shape)
-        for j in range(3):  # by columns: numpy runs a length-3 inner loop at half speed
-            np.subtract(y[..., j], self.center[j], out=d[..., j])
+        d = np.asarray(y, dtype=float) - np.asarray(self.center)
         d2 = _dot3(d, d)
-        # x / -c is -x / c bit for bit; one point gives scalars, which the
-        # augmented operators rebind rather than write
-        S = np.exp(d2 / (-2 * self.sigma**2))
-        d /= -self.sigma**2
-        for j in range(3):
-            np.multiply(d[..., j], S, out=d[..., j])
-        d2 /= self.sigma**4
-        d2 -= 3.0 / self.sigma**2
-        d2 *= S
-        return S, d, d2
+        S = np.exp(-d2 / (2 * self.sigma**2))
+        grad = S[..., None] * (-d / self.sigma**2)
+        return S, grad, S * (d2 / self.sigma**4 - 3.0 / self.sigma**2)
 
     def __getstate__(self):
         # pickles and copies start with an empty memo of their own
@@ -580,14 +573,8 @@ def _weighted_space_rule(testfn, n: int):
     """Read-only (pts, wS, wgradS, wlapS): the points of ``_testfn_grid`` and
     the test function's S, grad S and lap S there, times the cell weights."""
     pts, wts = _testfn_grid(testfn, n)
-    parts = testfn.space_parts(pts)
-    if type(testfn) is not GaussianBump:  # another test function may still hold its factors
-        parts = [np.array(a, dtype=float) for a in parts]
-    wS, wgradS, wlapS = parts  # weighted in place
-    wS *= wts
-    for j in range(3):
-        np.multiply(wgradS[:, j], wts, out=wgradS[:, j])
-    wlapS *= wts
+    S, gradS, lapS = testfn.space_parts(pts)
+    wS, wgradS, wlapS = S * wts, gradS * wts[:, None], lapS * wts
     for a in (pts, wS, wgradS, wlapS):
         a.flags.writeable = False
     return pts, wS, wgradS, wlapS

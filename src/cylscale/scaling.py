@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, _finite
 from .exponents import ExponentParams
 from .fields import (
     ConstantProfile,
@@ -99,7 +99,8 @@ def rescale(profile, spec: ScalingSpec):
         # quadratic pressure closure is preserved with the same coefficient
         shift = al + profile.radial_power + (al + 1) * profile.time_power
         return PowerLawProfile(
-            c=profile.c * la**shift,
+            c=_finite(lambda: profile.c * la**shift,
+                      lambda: f"rescaled c = {profile.c} * {la}**{shift} overflows"),
             alpha_p=profile.alpha_p,
             gamma_p=profile.gamma_p,
             pressure_coeff=profile.pressure_coeff,

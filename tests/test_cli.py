@@ -184,6 +184,8 @@ class TestLiouvilleAndIterate:
     @pytest.mark.parametrize("overrides, key", [
         (("ladder.factor=inf",), "ladder.factor"),
         (("ladder.start=1e300", "ladder.factor=1e10"), "ladder.factor"),
+        # factor**j raised OverflowError, which main printed as it was
+        (("ladder.factor=1e154",), "ConfigError: ladder radius overflows"),
         (("ladder.start=nan",), "ladder.start"),
         (("ladder.start=0",), "ladder.start must exceed 0"),
         (("ladder.factor=1",), "ladder.factor must exceed 1"),
@@ -487,10 +489,14 @@ def test_iterate_forcing_near_the_critical_case(tmp_path):
     ("quantities", "ladder.start=1e200"),
     ("quantities", "exponents.l=1e200"),
     ("iterate", "iterate.gamma=1e200"),
+    ("suite", "exponents.l=1e154"),
+    ("iterate", "iterate.gamma=30"),
+    ("scale-check", "profile.gamma_p=1e308"),
+    ("quantities", "ladder.factor=1e154"),
 ], ids=" ".join)
 def test_non_finite_result_exits_invalid_writing_nothing(tmp_path, capsys, argv):
     # the first two once wrote Infinity and NaN into JSON with exit 0, the
-    # others ended in an OverflowError traceback
+    # others printed error: OverflowError, or ended in its traceback
     assert run(tmp_path, *argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,7 @@ error instead of returning NaN, complex or negative numbers."""
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import math
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cylscale
 
@@ -46,6 +48,7 @@ from cylscale import (
     lambda_for_rk,
     liouville_verdict,
     m_quantity,
+    rescale,
     sample,
     steady_to_discrete,
     sup_weighted_mass,
@@ -151,6 +154,27 @@ CASES = {
     "liouville-gamma-inf": lambda: liouville_verdict(0.55, INF, True),
     # kappa_n and m0* came back NaN
     "weighted-kappa-n-nan": lambda: weighted_kappa(2.8, 2.8, NAN),
+    # alpha, m and m1 came back NaN at an infinite s or l, kappa_n NaN
+    "derive-s-inf": lambda: derive(INF, 2.8, 0.9),
+    "derive-l-inf": lambda: derive(2.8, INF, 0.9),
+    "weighted-kappa-l-inf": lambda: weighted_kappa(2.8, INF, 0.5),
+    # bare OverflowErrors from c**l, _ball_integral(...)**(l/s), 2.0**(gamma*m1),
+    # rho**k and lam**shift; infinite C, C_mt, M, q_interp, kappa_n, contraction
+    # and iteration bounds
+    "m-l-overflow": lambda: m_quantity(P, 1.0, 2.8, 1e308, 0.9),
+    "energy-shear-overflow":
+        lambda: energy_quantities(SteadyShearProfile(amplitude=1e150), 1.0, derive(2.8, 2.8, 0.9)),
+    "closed-c-overflow": lambda: closed_form_m_power_law(1e308, 0.5, 1.1, 2.8, 2.8, 0.9, 1.0),
+    "derive-q-overflow": lambda: derive(1e154, 1e308, 0.9),
+    "weighted-kappa-n-overflow": lambda: weighted_kappa(2.8, 1e154, 1e200),
+    "contraction-overflow": lambda: IterationParams(0.5, 0.5, gamma=1e308, m1=1.0).contraction,
+    "contraction-inf-overflow":
+        lambda: IterationParams(0.5, 0.5, gamma=1e154, m1=1e200).contraction,
+    "iterate-rho-overflow": lambda: iterate_bound(derive_iteration_params(0.55, 30.0), 2.0, 400),
+    "iterate-C-overflow":
+        lambda: iterate_bound(derive_iteration_params(0.55, 0.5, C_force=1e308), 2.0, 400),
+    "rescale-shift-overflow":
+        lambda: rescale(PowerLawProfile(gamma_p=1e308), ScalingSpec("navier-stokes", 0.5)),
 }
 
 
@@ -158,6 +182,18 @@ CASES = {
 def test_bad_input_raises_typed_error(call):
     with pytest.raises(CylscaleError):
         call()
+
+
+@pytest.mark.parametrize("key", [k for k in CASES if k.endswith("-overflow")])
+def test_result_that_overflows_is_a_non_finite_result(key):
+    with pytest.raises(NonFiniteResultError):
+        CASES[key]()
+
+
+@pytest.mark.parametrize("key", ["m-l-overflow", "energy-shear-overflow", "closed-c-overflow"])
+def test_quantity_that_overflows_names_its_radius(key):
+    with pytest.raises(NonFiniteResultError, match=r"\b[rR]=1\.0\b"):
+        CASES[key]()
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, NAN, INF])
@@ -404,3 +440,53 @@ def test_every_raise_is_a_cylscale_error(path):
         site = (name, scope, exc.id)
         assert site in _UNTYPED_RAISES, f"{name}.{scope} raises {exc.id}"
         assert exc.id != "ValueError" or "ValueError" in caught, site
+
+
+#: hostile floats: signed zero, the smallest subnormal and normal, values whose
+#: square, cube or power overflows, and the non-finite ones
+HOSTILE_FLOATS = [-0.0, 5e-324, 1e-308, 1e154, 1e200, 1e308, INF, -INF, NAN]
+
+#: each scalar entry point with ordinary arguments, some of which the test replaces
+SCALAR_API = {
+    "derive": (derive, (2.8, 2.8, 0.9)),
+    "weighted_kappa": (weighted_kappa, (2.8, 2.8, 0.5)),
+    "contraction": (lambda *a: IterationParams(*a).contraction, (0.5, 0.5, 1.0, 0.5, 0.1)),
+    "iterate_bound": (lambda m, gamma, C, R: iterate_bound(
+        derive_iteration_params(m, gamma, C), R, 400), (0.55, 0.5, 1.0, 2.0)),
+    "liouville_verdict": (lambda m, gamma: liouville_verdict(m, gamma, True), (0.55, 0.5)),
+    "lambda_for_rk": (lambda_for_rk, (0.5, 1.5)),
+    "closed_form_m_power_law": (closed_form_m_power_law, (1.0, 0.5, 1.1, 2.8, 2.8, 0.9, 1.0)),
+    "rescale": (lambda c, a, g, lam, alpha: rescale(
+        PowerLawProfile(c, a, g), ScalingSpec("euler", lam, alpha)), (1.0, 0.5, 1.1, 0.5, 1.2)),
+    "m_quantity": (lambda c, a, g, R, s, l, m0: m_quantity(
+        PowerLawProfile(c, a, g), R, s, l, m0), (1.0, 0.5, 1.1, 1.0, 2.8, 2.8, 0.9)),
+}
+
+
+def _floats(result):
+    """Every float in a result: numbers, tuples, lists, dicts and dataclasses."""
+    if isinstance(result, float):
+        yield result
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from _floats(item)
+    elif isinstance(result, dict):
+        yield from _floats(list(result.values()))
+    elif dataclasses.is_dataclass(result):
+        yield from _floats([getattr(result, f.name) for f in dataclasses.fields(result)])
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_API))
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_scalar_api_returns_finite_floats_or_raises_a_typed_error(name, data):
+    call, args = SCALAR_API[name]
+    args = list(args)
+    for i in data.draw(st.sets(st.integers(0, len(args) - 1), min_size=1, max_size=2)):
+        args[i] = data.draw(st.sampled_from(HOSTILE_FLOATS) | st.floats(-4.0, 4.0))
+    try:
+        result = call(*args)
+    except CylscaleError:
+        return
+    bad = [v for v in _floats(result) if not math.isfinite(v)]
+    assert not bad, (args, bad)
