@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, _finite
+from .errors import DomainError, NonFiniteResultError, _finite
 from .fields import DiscreteSelfSimilarProfile, Profile, _norm3
 from .quadrature import DEFAULT_CONFIG, FOUR_PI, QuadratureConfig, ball_grid, graded_nodes
 from .quantities import _ball_integral, _check_radius, _gradsq_fd
@@ -137,17 +137,18 @@ def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTra
     trace = IterationTrace(case_tag=params.case_tag)
     rho = params.contraction
     C = params.C_force
-
-    def fill():
+    try:
         for k in range(k_max + 1):
             p, a = rho**k * C, forcing_term(params, R, k)
             trace.ks.append(k)
             trace.profile_terms.append(p)
             trace.forcing_terms.append(a)
             trace.bounds.append(p + a)
-        return trace.bounds
-    _finite(fill, lambda: f"iteration bounds to k={k_max} at R={R} leave the float range: "
-                          f"{params}")
+    except OverflowError:
+        trace.bounds.append(math.inf)
+    if not all(map(math.isfinite, trace.bounds)):
+        raise NonFiniteResultError(f"iteration bounds to k={k_max} at R={R} leave the float "
+                                   f"range: {params}")
     trace.verdict = "converges-to-zero" if rho < 1 else "inconclusive"
     return trace
 
@@ -209,8 +210,9 @@ def growth_envelope(u: Callable, exponent: float,
             if vals.ndim == pts.ndim:
                 vals = _norm3(vals)
             raw = float(np.sum(np.abs(vals) ** power)) * w
-        masses.append(_finite(lambda: weight * raw, lambda: f"growth envelope mass "
-                              f"{weight * raw} at ladder radius {b}"))
+        masses.append(weight * raw)
+        if not math.isfinite(masses[-1]):
+            raise NonFiniteResultError(f"growth envelope mass {masses[-1]} at ladder radius {b}")
     sup = np.maximum.accumulate(masses)
     slope = _fit_slope(ladder, masses)
     return GrowthEnvelope(

@@ -56,15 +56,12 @@ class NonFiniteResultError(CylscaleError, ValueError):
 
 
 def _finite(compute, describe):
-    """compute(), a number or a list or tuple of them, once every float among
-    them is finite (ints and Fractions are exact); an OverflowError or a NaN
-    or infinite float raises NonFiniteResultError(describe())."""
+    """compute(), a float, once it is finite; an OverflowError or a NaN or
+    infinite result raises NonFiniteResultError(describe())."""
     try:
         value = compute()
-        items = value if isinstance(value, (list, tuple)) else [value]
-        finite = all(math.isfinite(v) for v in items if isinstance(v, float))
     except OverflowError:
-        finite = False
-    if not finite:
+        value = math.inf
+    if not math.isfinite(value):
         raise NonFiniteResultError(describe())
     return value

@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Optional, Union
 
-from .errors import DegenerateInputError, DomainError, InfeasibleDeltaError, _finite
+from .errors import DegenerateInputError, DomainError, InfeasibleDeltaError, NonFiniteResultError
 
 Number = Union[int, float, Fraction]
 
@@ -130,8 +130,8 @@ def derive(s: Number, l: Number, m0: Number) -> ExponentParams:
     if k > 0:
         m0_bound = 2 * (6 / s + 5 / l - 3) / (5 * mid)
     q = q_interp(s, l)
-    _finite(lambda: (k, q, alpha, m1, gamma_profile, m0_bound),
-            lambda: f"exponents of s={s}, l={l}, m0={m0} leave the float range")
+    if isinstance(alpha, float) and not all(map(math.isfinite, (k, q, alpha, m1, gamma_profile))):
+        raise NonFiniteResultError(f"exponents of s={s}, l={l}, m0={m0} leave the float range")
 
     return ExponentParams(
         s=s,
@@ -493,8 +493,9 @@ def weighted_kappa(s: Number, l: Number, n: Number) -> WeightedKappa:
     if k > 0:
         m0_star = kappa_n / k
         interior = 0 < m0_star < 1
-    _finite(lambda: (kappa_n, m0_star),
-            lambda: f"kappa_n of s={s}, l={l}, n={n} leaves the float range")
+    if isinstance(kappa_n, float) and not all(
+            math.isfinite(v) for v in (kappa_n, m0_star) if v is not None):
+        raise NonFiniteResultError(f"kappa_n of s={s}, l={l}, n={n} leaves the float range")
     return WeightedKappa(
         n=n, kappa=k, q_interp=q, kappa_n=kappa_n,
         m0_star=m0_star, m0_star_interior=interior,

@@ -122,14 +122,6 @@ class Profile:
         """|grad v|^2 where a closed form exists, else None."""
         return None
 
-    @property
-    def singular_at_origin(self) -> bool:
-        return self.radial_power < 0
-
-    @property
-    def singular_at_time_zero(self) -> bool:
-        return self.time_power < 0
-
 
 @dataclass(frozen=True)
 class PowerLawProfile(Profile):

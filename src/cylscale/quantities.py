@@ -275,7 +275,10 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     if isinstance(field, GridField):
         idx, dt = _grid_times_in(field, T)
         I = _grid_ball_sums(field, key, r)[idx]
-        return _finite(lambda: float(np.sum(I if q is None else I**q)), what), dt
+        value = float(np.sum(I if q is None else I**q))
+        if not math.isfinite(value):
+            raise NonFiniteResultError(what())
+        return value, dt
     if q is None:
         G = lambda t: _ball_integral(field, key, r, t, cfg)
     else:
@@ -644,11 +647,11 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
         raise DomainError("similarity variants need a SelfSimilarProfile")
     tlo, thi = testfn.time_window
     if physical:
-        if thi >= 0 and (profile.singular_at_time_zero or not profile.steady):
+        if thi >= 0 and (profile.time_power < 0 or not profile.steady):
             raise SupportError("test function support reaches t >= 0")
         if tau0 >= 0:
             raise SupportError("tau0 must be negative for physical-time variants")
-    if profile.singular_at_origin:
+    if profile.radial_power < 0:
         lo, hi = testfn.space_box
         if np.all(lo < 0) and np.all(hi > 0):
             raise SupportError("test function support contains the singular point x = 0")

@@ -58,6 +58,10 @@ class ScalingSpec:
             raise DomainError(f"lam must be positive and finite, got {self.lam}")
         if self.kind == "euler" and not (self.alpha is not None and math.isfinite(self.alpha)):
             raise DomainError(f"euler scaling needs a finite alpha, got {self.alpha}")
+        # every power of lam that scales v, t, q or a grid's mu lies within lam**(+-top)
+        top = max(2 * abs(self.exponent), abs(self.exponent) + 1)
+        _finite(lambda: max(self.lam, 1 / self.lam) ** top,
+                lambda: f"lam**(+-{top}) leaves the float range: {self}")
 
     @property
     def exponent(self) -> float:
@@ -159,11 +163,6 @@ class InvarianceRow:
     passed: bool
 
 
-def _rel_slack(lhs: float, rhs: float) -> float:
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
-
-
 def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
                       radii: Sequence[float],
                       cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -190,7 +189,7 @@ def invariance_report(profile, spec: ScalingSpec, params: ExponentParams,
             for name, col in (("A", "A"), ("E", "E"), ("C", "C"), ("D", "D"),
                               ("M", "M_kappa")):
                 lhs, rhs = getattr(lhs_row, col), getattr(rhs_row, col)
-                slack = _rel_slack(lhs, rhs)
+                slack = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
                 rows.append(InvarianceRow(
                     relation=f"{name}(v^lam,a)={name}(v,lam*a)", a=a, lhs=lhs,
                     rhs=rhs, slack=slack, tolerance=tolerance,

@@ -493,6 +493,10 @@ def test_iterate_forcing_near_the_critical_case(tmp_path):
     ("iterate", "iterate.gamma=30"),
     ("scale-check", "profile.gamma_p=1e308"),
     ("quantities", "ladder.factor=1e154"),
+    # lam**alpha and lam**(alpha - 1) overflowed in rescale and invariance_report
+    ("scale-check", "scale.kind=euler", "scale.alpha=-1100"),
+    ("scale-check", "profile.kind=constant", "scale.kind=euler", "scale.alpha=-2000"),
+    ("scale-check", "profile.kind=shear", "scale.kind=euler", "scale.alpha=-2000"),
 ], ids=" ".join)
 def test_non_finite_result_exits_invalid_writing_nothing(tmp_path, capsys, argv):
     # the first two once wrote Infinity and NaN into JSON with exit 0, the
@@ -500,6 +504,7 @@ def test_non_finite_result_exits_invalid_writing_nothing(tmp_path, capsys, argv)
     assert run(tmp_path, *argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "OverflowError" not in err
     assert not list(tmp_path.iterdir())
 
 

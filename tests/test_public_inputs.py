@@ -175,6 +175,9 @@ CASES = {
         lambda: iterate_bound(derive_iteration_params(0.55, 0.5, C_force=1e308), 2.0, 400),
     "rescale-shift-overflow":
         lambda: rescale(PowerLawProfile(gamma_p=1e308), ScalingSpec("navier-stokes", 0.5)),
+    # built, then a power of lam raised a bare OverflowError in rescale or a rescaled profile
+    "spec-euler-alpha-overflow": lambda: ScalingSpec("euler", 0.5, -1100.0),
+    "spec-lam-overflow": lambda: ScalingSpec("navier-stokes", 1e200),
 }
 
 
@@ -458,6 +461,10 @@ SCALAR_API = {
     "closed_form_m_power_law": (closed_form_m_power_law, (1.0, 0.5, 1.1, 2.8, 2.8, 0.9, 1.0)),
     "rescale": (lambda c, a, g, lam, alpha: rescale(
         PowerLawProfile(c, a, g), ScalingSpec("euler", lam, alpha)), (1.0, 0.5, 1.1, 0.5, 1.2)),
+    "rescale_constant": (lambda c, lam, alpha: rescale(
+        ConstantProfile((c, 0.0, 0.0)), ScalingSpec("euler", lam, alpha)).c3, (1.0, 0.5, 1.2)),
+    "rescale_shear": (lambda amp, k, lam, alpha: rescale(
+        SteadyShearProfile(amp, k), ScalingSpec("euler", lam, alpha)), (1.0, 1.0, 0.5, 1.2)),
     "m_quantity": (lambda c, a, g, R, s, l, m0: m_quantity(
         PowerLawProfile(c, a, g), R, s, l, m0), (1.0, 0.5, 1.1, 1.0, 2.8, 2.8, 0.9)),
 }
