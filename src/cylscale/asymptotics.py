@@ -46,6 +46,9 @@ class IterationParams:
                 and 0 <= self.gamma < math.inf):
             raise DomainError(f"need finite beta and finite C_force, gamma >= 0, got {self}")
         gamma_ceiling(self.m1)  # the one check that m1 is finite and exceeds -2
+        # case_tag and forcing_term read 2**beta * theta; `or inf` refuses its underflow to 0
+        _finite(lambda: 2.0**self.beta * self.theta or math.inf,
+                lambda: f"2**beta * theta leaves the float range at beta={self.beta}")
 
     @property
     def gamma_max(self) -> float:
@@ -180,9 +183,9 @@ def _fit_slope(ladder, masses) -> float:
 
 def growth_envelope(u: Callable, exponent: float,
                     ladder: Sequence[float] = DEFAULT_LADDER,
-                    power: float = 2.0, radial: bool = False,
+                    radial: bool = False,
                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> GrowthEnvelope:
-    """Normalized masses b**-exponent * int_{B(b)} |u|**power over a ladder.
+    """Normalized masses b**-exponent * int_{B(b)} |u|**2 over a ladder.
 
     ``u`` maps (..., 3) points to vectors or scalar magnitudes, or with
     radial=True maps radii to magnitudes (integrated with the graded radial
@@ -203,13 +206,13 @@ def growth_envelope(u: Callable, exponent: float,
         if radial:
             nodes, weights = graded_nodes(b, cfg.n_radial, cfg.graded_levels)
             vals = np.abs(np.asarray(u(nodes), dtype=float))
-            raw = FOUR_PI * float(np.sum(weights * nodes**2 * vals**power))
+            raw = FOUR_PI * float(np.sum(weights * nodes**2 * vals**2.0))
         else:
             pts, w = ball_grid(b, cfg.n_space)
             vals = np.asarray(u(pts), dtype=float)
             if vals.ndim == pts.ndim:
                 vals = _norm3(vals)
-            raw = float(np.sum(np.abs(vals) ** power)) * w
+            raw = float(np.sum(np.abs(vals) ** 2.0)) * w
         masses.append(weight * raw)
         if not math.isfinite(masses[-1]):
             raise NonFiniteResultError(f"growth envelope mass {masses[-1]} at ladder radius {b}")

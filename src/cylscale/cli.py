@@ -63,12 +63,7 @@ DEFAULTS = {
     "iterate.C": "1.0",
     "iterate.R": "2.0",
     "iterate.k_max": "400",
-    "quadrature.n_space": "32",
-    "quadrature.n_time": "16",
-    "quadrature.n_radial": "64",
-    "quadrature.graded_levels": "28",
-    "quadrature.radial_rule": "exact",
-    "quadrature.time_rule": "exact",
+    **{f"quadrature.{f.name}": str(f.default) for f in dataclasses.fields(QuadratureConfig)},
     "run.tolerance": "1e-9",
 }
 
@@ -167,15 +162,11 @@ class RunConfig:
         return ex.derive(*(self.rational(f"exponents.{k}") for k in ("s", "l", "m0")))
 
     def quadrature(self) -> QuadratureConfig:
+        # integer fields are counts, string ones rule names as written;
         # QuadratureConfig checks the ceilings and the rule names
-        return QuadratureConfig(
-            n_space=self.count("quadrature.n_space"),
-            n_time=self.count("quadrature.n_time"),
-            n_radial=self.count("quadrature.n_radial"),
-            graded_levels=self.count("quadrature.graded_levels"),
-            radial_rule=self.text("quadrature.radial_rule"),
-            time_rule=self.text("quadrature.time_rule"),
-        )
+        read = lambda f: self.count if isinstance(f.default, int) else self.text
+        return QuadratureConfig(**{f.name: read(f)(f"quadrature.{f.name}")
+                                   for f in dataclasses.fields(QuadratureConfig)})
 
     def profile(self):
         kind = self.text("profile.kind")

@@ -98,7 +98,8 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
     w = _cell_volume(r, cfg.n_space)
     if kind == "gradsq":
         return float(np.sum(cells[kind])) * w
-    return float(np.sum(cells[kind] ** key[1])) * w
+    with np.errstate(over="ignore"):  # the callers refuse a sum that is not finite
+        return float(np.sum(cells[kind] ** key[1])) * w
 
 
 def _ball_cells(profile: Profile, kind: str, r: float, t: float, n: int) -> np.ndarray:
@@ -243,9 +244,12 @@ def _check_mixed(field, R: float, s: float, l: float, m0: float):
 def _weighted(r: float, weight: float, value) -> float:
     S, dt = value
     try:
-        return math.pow(r, -weight) * S * dt
+        weighted = math.pow(r, -weight) * S * dt
     except OverflowError:
         raise RadiusError(f"radius {r} is too small: r**-{weight} overflows") from None
+    if not math.isfinite(weighted):
+        raise NonFiniteResultError(f"r**-{weight} times the integral at r={r} is not finite")
+    return weighted
 
 
 def _mass_sup(field, r: float, cfg: QuadratureConfig,
@@ -444,34 +448,13 @@ def quantity_report(field, radii: Sequence[float], params: ExponentParams,
 # local energy balance
 
 
-class _SpaceTimeProduct:
-    """A test function phi(y, tau) = S(y) * T(tau).
-
-    Subclasses give ``space_parts(y)`` -> (S, grad S, laplacian S) and
-    ``time_parts(tau)`` -> (T, dT/dtau); the pointwise evaluators are their
-    products.
-    """
-
-    def value(self, y, tau):
-        return self.space_parts(y)[0] * self.time_parts(tau)[0]
-
-    def grad(self, y, tau):
-        return self.space_parts(y)[1] * self.time_parts(tau)[0][..., None]
-
-    def laplacian(self, y, tau):
-        return self.space_parts(y)[2] * self.time_parts(tau)[0]
-
-    def dt(self, y, tau):
-        return self.space_parts(y)[0] * self.time_parts(tau)[1]
-
-
 #: standard deviations at which a GaussianBump's quadrature support is cut,
 #: where the tails are negligible against the tolerances used here
 NSIGMA = 7.0
 
 
 @dataclass(frozen=True)
-class GaussianBump(_SpaceTimeProduct):
+class GaussianBump:
     """Smooth nonnegative test function with analytic derivatives: a unit
     Gaussian in space and time, its support cut at NSIGMA deviations.
 
@@ -531,7 +514,7 @@ class GaussianBump(_SpaceTimeProduct):
 
 
 @dataclass(frozen=True)
-class ExponentialWeighted(_SpaceTimeProduct):
+class ExponentialWeighted:
     """phi = base * exp(rate * tau), with derivatives carried through."""
 
     base: GaussianBump
@@ -634,7 +617,9 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
     form).  For a smooth exact solution of the corresponding equations the
     residual is zero up to quadrature error.
 
-    The test function is a product S(y) T(tau), so S, grad S and lap S are
+    The test function is a product S(y) T(tau), read only through its factors
+    ``space_parts(y)`` -> (S, grad S, lap S) and ``time_parts(tau)`` -> (T,
+    dT/dtau), its ``space_box`` and ``time_window``.  S, grad S and lap S are
     built once per test function and ``n_space`` and the time integral is a
     Gauss-Legendre sum of a few spatial moments against T and dT/dtau.
     """

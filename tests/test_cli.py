@@ -19,9 +19,11 @@ from cylscale.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     OUT_ENV,
+    RunConfig,
     main,
     parse_config_text,
 )
+from cylscale.quadrature import DEFAULT_CONFIG
 
 
 def run(tmp_path, *args):
@@ -313,6 +315,14 @@ class TestSuite:
         assert run(tmp_path, "defaults") == EXIT_OK
         out = capsys.readouterr().out
         assert "exponents.s = 14/5" in out
+        # the quadrature defaults are QuadratureConfig's own
+        assert [line for line in out.splitlines() if line.startswith("quadrature.")] == [
+            "quadrature.graded_levels = 28", "quadrature.n_radial = 64",
+            "quadrature.n_space = 32", "quadrature.n_time = 16",
+            "quadrature.radial_rule = exact", "quadrature.time_rule = exact"]
+
+    def test_default_quadrature_is_the_library_default(self):
+        assert RunConfig({}).quadrature() == DEFAULT_CONFIG
 
 
 #: sha256 of artifacts off the default path, recorded before the command

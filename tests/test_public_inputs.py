@@ -178,6 +178,15 @@ CASES = {
     # built, then a power of lam raised a bare OverflowError in rescale or a rescaled profile
     "spec-euler-alpha-overflow": lambda: ScalingSpec("euler", 0.5, -1100.0),
     "spec-lam-overflow": lambda: ScalingSpec("navier-stokes", 1e200),
+    # 2**beta raised a bare OverflowError in case_tag; its underflow to 0 a
+    # ZeroDivisionError in forcing_term
+    "iterate-beta-overflow": lambda: iterate_bound(IterationParams(0.5, 2000.0), 2.0, 3),
+    "iterate-beta-underflow": lambda: iterate_bound(IterationParams(0.5, -2000.0), 1.0, 3),
+    # r**-weight is finite, its product with the integral came back inf
+    "mass-weight-product-overflow":
+        lambda: sup_weighted_mass(ConstantProfile((1e100, 0.0, 0.0)), 0.01, 60.0),
+    "power-weight-product-overflow":
+        lambda: cylinder_power_integral(PowerLawProfile(c=1e100), "speed", 2.0, 0.01, 60.0),
 }
 
 
@@ -241,6 +250,22 @@ def test_pressure_coefficient_that_overflows_is_a_non_finite_result():
     # c**2 = 1e400 raised a bare OverflowError from the separable pressure rule
     with pytest.raises(NonFiniteResultError, match=r"c\*\*2 at c=1e\+200"):
         cylinder_power_integral(PowerLawProfile(c=1e200), "pressure", 1.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("beta", [1100.0, 2000.0, -2000.0])
+def test_beta_whose_power_of_two_leaves_the_float_range_is_refused(beta):
+    with pytest.raises(NonFiniteResultError, match=f"beta={beta}"):
+        IterationParams(0.5, beta)
+
+
+def test_beta_just_inside_the_float_range_still_iterates():
+    assert iterate_bound(IterationParams(0.5, 1023.0), 2.0, 3).bounds[-1] == 0.125
+
+
+@pytest.mark.parametrize("key", ["mass-weight-product-overflow", "power-weight-product-overflow"])
+def test_weighted_quantity_that_overflows_names_its_radius(key):
+    with pytest.raises(NonFiniteResultError, match=r"r\*\*-60\.0 .* at r=0\.01 "):
+        CASES[key]()
 
 
 def test_radius_whose_ball_volume_overflows_is_a_radius_error():

@@ -530,56 +530,58 @@ class TestTestFunctions:
                         sigma=0.4, sigma_t=0.08)
 
     def test_derivatives_match_finite_differences(self):
+        """grad S and lap S against differences of S, dT against differences
+        of T: the parts the local-energy kernel reads."""
         y = np.array([0.3, 0.1, 0.2])
         tau = -0.45
         h = 1e-6
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd = (self.bump.value(y + e, tau) - self.bump.value(y - e, tau)) / (2 * h)
-            assert self.bump.grad(y, tau)[j] == pytest.approx(fd, rel=1e-6)
-        fd_t = (self.bump.value(y, tau + h) - self.bump.value(y, tau - h)) / (2 * h)
-        assert self.bump.dt(y, tau) == pytest.approx(fd_t, rel=1e-6)
-        lap = sum(
-            (self.bump.value(y + e, tau) - 2 * self.bump.value(y, tau)
-             + self.bump.value(y - e, tau)) / h**2
-            for e in (np.array([h, 0, 0]), np.array([0, h, 0]), np.array([0, 0, h]))
-        ) / h * h  # noqa: arithmetic kept explicit
-        assert self.bump.laplacian(y, tau) == pytest.approx(lap, rel=1e-3)
+        S = lambda x: self.bump.space_parts(x)[0]
+        _, grad, lap = self.bump.space_parts(y)
+        steps = h * np.eye(3)
+        for j, e in enumerate(steps):
+            assert grad[j] == pytest.approx((S(y + e) - S(y - e)) / (2 * h), rel=1e-6)
+        fd_lap = sum((S(y + e) - 2 * S(y) + S(y - e)) / h**2 for e in steps)
+        assert lap == pytest.approx(fd_lap, rel=1e-3)
+        T = lambda t: self.bump.time_parts(t)[0]
+        fd_t = (T(tau + h) - T(tau - h)) / (2 * h)
+        assert self.bump.time_parts(tau)[1] == pytest.approx(fd_t, rel=1e-6)
 
     def test_space_time_parts_reproduce_evaluators(self):
+        """time_parts of a scalar tau equals its array entry, and S * T is the
+        closed-form Gaussian."""
         y = np.array([[0.3, 0.1, 0.2], [-0.5, 0.4, 0.0], [0.1, -0.2, 0.3]])
         taus = np.array([-0.6, -0.45, -0.3])
         d = y - np.asarray(self.bump.center)
         for f in (self.bump, ExponentialWeighted(self.bump, rate=0.7)):
-            S, G, L = f.space_parts(y)
             T, dT = f.time_parts(taus)
             for k, tau in enumerate(taus):
                 assert f.time_parts(tau)[0] == T[k]
                 assert f.time_parts(tau)[1] == dT[k]
-                assert np.array_equal(f.value(y, tau), S * T[k])
-                assert np.array_equal(f.grad(y, tau), G * T[k])
-                assert np.array_equal(f.laplacian(y, tau), L * T[k])
-                assert np.array_equal(f.dt(y, tau), S * dT[k])
-        # the factors multiply out to the closed-form Gaussian
         q = np.einsum("ij,ij->i", d, d) / (2 * self.bump.sigma**2)
+        S = self.bump.space_parts(y)[0]
         for tau in taus:
             qt = (tau - self.bump.t_center) ** 2 / (2 * self.bump.sigma_t**2)
-            np.testing.assert_allclose(self.bump.value(y, tau), np.exp(-q - qt),
+            np.testing.assert_allclose(S * self.bump.time_parts(tau)[0], np.exp(-q - qt),
                                        rtol=1e-14)
 
     def test_exponential_weighting_chain_rule(self):
+        """The weighted test function keeps the base's spatial factor, and its
+        dT matches differences of its T."""
         w = ExponentialWeighted(self.bump, rate=0.7)
         y = np.array([0.0, 0.0, 0.1])
         tau = -0.5
         h = 1e-6
-        fd_t = (w.value(y, tau + h) - w.value(y, tau - h)) / (2 * h)
-        assert w.dt(y, tau) == pytest.approx(fd_t, rel=1e-6)
+        for got, want in zip(w.space_parts(y), self.bump.space_parts(y)):
+            assert np.array_equal(got, want)
+        T = lambda t: w.time_parts(t)[0]
+        fd_t = (T(tau + h) - T(tau - h)) / (2 * h)
+        assert w.time_parts(tau)[1] == pytest.approx(fd_t, rel=1e-6)
 
 
 def _reference_local_energy(profile, testfn, tau0, variant, cfg):
-    """Reference: the balance integrated node by node, with the profile and
-    every test-function evaluator called afresh at each time node."""
+    """Reference: the balance integrated node by node, with the profile called
+    afresh at each time node and phi, grad phi, lap phi and dphi/dtau formed
+    there as S T, grad S T, lap S T and S dT from the test function's factors."""
     from cylscale.quadrature import gauss_legendre
     from cylscale.quantities import _gradsq_fd, _testfn_grid
 
@@ -588,6 +590,12 @@ def _reference_local_energy(profile, testfn, tau0, variant, cfg):
     pts, wts = _testfn_grid(testfn, n)
     tnodes, twts = gauss_legendre(tlo, min(thi, tau0), max(cfg.n_time, n))
     dot = lambda a, b: np.einsum("...i,...i->...", a, b)
+
+    def phi(t):
+        S, gradS, lapS = testfn.space_parts(pts)
+        T, dT = testfn.time_parts(t)
+        return S * T, gradS * T, lapS * T, S * dT
+
     if variant in ("selfsimilar", "selfsimilar-weighted"):
         alpha = profile.alpha
         rate = (3.0 - 2.0 * alpha) / (1.0 + alpha)
@@ -596,19 +604,18 @@ def _reference_local_energy(profile, testfn, tau0, variant, cfg):
         U2 = dot(U, U)
         rhs = 0.0
         for t, wt in zip(tnodes, twts):
-            phi_g = testfn.grad(pts, t)
-            drift = dot(pts, phi_g) / (1.0 + alpha)
-            adv = dot(U, phi_g)
+            value, grad, _, dt = phi(t)
+            drift = dot(pts, grad) / (1.0 + alpha)
+            adv = dot(U, grad)
             if variant == "selfsimilar":
-                integrand = (U2 * (drift + testfn.dt(pts, t) + rate * testfn.value(pts, t))
-                             + adv * (U2 + 2.0 * P))
+                integrand = U2 * (drift + dt + rate * value) + adv * (U2 + 2.0 * P)
                 weight = 1.0
             else:
-                integrand = U2 * (drift + testfn.dt(pts, t)) + adv * (U2 + 2.0 * P)
+                integrand = U2 * (drift + dt) + adv * (U2 + 2.0 * P)
                 weight = np.exp(-rate * t)
             rhs += wt * weight * float(np.sum(wts * integrand))
         lhs_weight = 1.0 if variant == "selfsimilar" else np.exp(-rate * tau0)
-        lhs = lhs_weight * float(np.sum(wts * U2 * testfn.value(pts, tau0)))
+        lhs = lhs_weight * float(np.sum(wts * U2 * phi(tau0)[0]))
         return lhs, rhs, lhs - rhs
     rhs = 0.0
     dissipation = 0.0
@@ -616,17 +623,17 @@ def _reference_local_energy(profile, testfn, tau0, variant, cfg):
         v = profile.velocity(pts, t)
         p = profile.pressure(pts, t)
         v2 = dot(v, v)
-        adv = dot(v, testfn.grad(pts, t))
-        heat = testfn.dt(pts, t)
+        value, grad, lap, heat = phi(t)
+        adv = dot(v, grad)
         if variant == "standard-ns":
-            heat = heat + testfn.laplacian(pts, t)
+            heat = heat + lap
             g = profile.grad_norm_sq(pts, t)
             if g is None:
                 g = _gradsq_fd(profile, pts, t, 1e-4)
-            dissipation += wt * float(np.sum(wts * testfn.value(pts, t) * g))
+            dissipation += wt * float(np.sum(wts * value * g))
         rhs += wt * float(np.sum(wts * (v2 * heat + adv * (v2 + 2.0 * p))))
     v0 = profile.velocity(pts, tau0)
-    lhs = float(np.sum(wts * dot(v0, v0) * testfn.value(pts, tau0)))
+    lhs = float(np.sum(wts * dot(v0, v0) * phi(tau0)[0]))
     if variant == "standard-ns":
         lhs = lhs + 2.0 * dissipation
     return lhs, rhs, lhs - rhs
