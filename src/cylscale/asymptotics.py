@@ -102,18 +102,27 @@ def forcing_term(params: IterationParams, R: float, k: int) -> float:
     The sum is expm1(k L) / expm1(L) with L = ln x, which stays accurate as x
     approaches 1 (and is k at x = 1).
     """
-    th, be, C = params.theta, params.beta, params.C_force
-    if k <= 0:
-        return C * R**-be
-    L = math.log(1.0 / (2.0**be * th))
-    if L == 0.0:
-        return C * R**-be * th ** (k - 1) * k
-    if L > 0:
-        # theta^(k-1) * x^k = 2^(-beta*k) / theta: x^k alone overflows for large k
-        head = 2.0 ** (-be * k) / th * -math.expm1(-k * L)
-    else:
-        head = th ** (k - 1) * math.expm1(k * L)
-    return C * R**-be * head / math.expm1(L)
+    return _forcing(params, R)(k)
+
+
+def _forcing(params: IterationParams, R: float):
+    """k -> A(k, theta, R); the k-free factors C * R**-beta, L and expm1(L) are computed once."""
+    th, be = params.theta, params.beta
+    CR, L = params.C_force * R**-be, math.log(1.0 / (2.0**be * th))
+    em1 = math.expm1(L)
+
+    def A(k: int) -> float:
+        if k <= 0:
+            return CR
+        if L == 0.0:
+            return CR * th ** (k - 1) * k
+        if L > 0:
+            # theta^(k-1) * x^k = 2^(-beta*k) / theta: x^k alone overflows for large k
+            head = 2.0 ** (-be * k) / th * -math.expm1(-k * L)
+        else:
+            head = th ** (k - 1) * math.expm1(k * L)
+        return CR * head / em1
+    return A
 
 
 @dataclass
@@ -137,23 +146,18 @@ def iterate_bound(params: IterationParams, R: float, k_max: int) -> IterationTra
         raise DomainError(f"need finite R >= 1, got {R}")
     if k_max < 0:
         raise DomainError(f"need k_max >= 0, got {k_max}")
-    trace = IterationTrace(case_tag=params.case_tag)
-    rho = params.contraction
-    C = params.C_force
+    rho, C, ks = params.contraction, params.C_force, range(k_max + 1)
     try:
-        for k in range(k_max + 1):
-            p, a = rho**k * C, forcing_term(params, R, k)
-            trace.ks.append(k)
-            trace.profile_terms.append(p)
-            trace.forcing_terms.append(a)
-            trace.bounds.append(p + a)
+        A = _forcing(params, R)
+        profile_terms, forcing_terms = [rho**k * C for k in ks], [A(k) for k in ks]
+        bounds = [p + a for p, a in zip(profile_terms, forcing_terms)]
     except OverflowError:
-        trace.bounds.append(math.inf)
-    if not all(map(math.isfinite, trace.bounds)):
+        bounds = [math.inf]
+    if not all(map(math.isfinite, bounds)):
         raise NonFiniteResultError(f"iteration bounds to k={k_max} at R={R} leave the float "
                                    f"range: {params}")
-    trace.verdict = "converges-to-zero" if rho < 1 else "inconclusive"
-    return trace
+    return IterationTrace(list(ks), profile_terms, forcing_terms, bounds, params.case_tag,
+                          "converges-to-zero" if rho < 1 else "inconclusive")
 
 
 # ---------------------------------------------------------------------------

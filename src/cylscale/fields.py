@@ -227,7 +227,9 @@ class ConstantProfile(Profile):
 
     @property
     def coef(self) -> float:
-        return float(np.linalg.norm(self.c3))
+        with np.errstate(over="ignore"):  # norm squares c3, so past 1.34e154 it is inf
+            norm = float(np.linalg.norm(self.c3))
+        return norm if norm < math.inf else math.hypot(*self.c3)
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)

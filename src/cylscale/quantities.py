@@ -58,8 +58,10 @@ def _separable_powers(profile: Profile, kind: str):
     if kind == "speed":
         return profile.coef, profile.radial_power, profile.time_power
     if kind == "pressure":
-        coef = _finite(lambda: abs(profile.pressure_coeff) * profile.coef**2,
-                       lambda: f"pressure moments overflow: c**2 at c={profile.coef}")
+        # a zero pressure_coeff gives zero moments, whatever c**2 does
+        coef = profile.pressure_coeff and _finite(
+            lambda: abs(profile.pressure_coeff) * profile.coef**2,
+            lambda: f"pressure moments overflow: c**2 at c={profile.coef}")
         return coef, 2 * profile.radial_power, 2 * profile.time_power
     return None
 

@@ -92,6 +92,18 @@ class TestIterateBound:
         with pytest.raises(DomainError, match="k_max"):
             iterate_bound(IterationParams(0.5, 0.5), 2.0, -1)
 
+    @pytest.mark.parametrize("R", [1.0, 7.5])
+    @pytest.mark.parametrize("theta, beta", [(0.5, 1.0), (0.6, 1.0), (0.4, 1.0)],
+                             ids=["L=0", "L<0", "L>0"])
+    def test_trace_keeps_forcing_terms_bits(self, theta, beta, R):
+        """The loop computes the k-free factors once; every term keeps the bits
+        of a forcing_term call of its own."""
+        from cylscale.asymptotics import forcing_term
+
+        p = IterationParams(theta, beta)
+        trace = iterate_bound(p, R, 400)
+        assert trace.forcing_terms == [forcing_term(p, R, k) for k in range(401)]
+
     @given(
         st.floats(0.2, 0.95),
         st.floats(-1.0, 2.0),

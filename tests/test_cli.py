@@ -586,20 +586,51 @@ def test_emit_refuses_non_finite_values():
             _emit(RunConfig({}), "stem", "both", ("x",), rows, payload)
 
 
-@pytest.mark.parametrize("value, finite", [
-    ([[1, True, None, "inf", 2.5]], True),
-    ({"rows": [{"a": (1.0, [np.float64(3.0)])}]}, True),
-    ({"rows": [{"a": (1.0, [np.float64("nan")])}]}, False),
-    ([(0, {"x": {"y": [float("-inf")]}})], False),
-    ([[float("nan"), "x"], {}], False),
-    (float("inf"), False),
-    ([], True),
-], ids=["no-floats", "nested", "nested-np-nan", "nested-inf", "row-nan", "bare-inf",
-        "empty"])
-def test_finite_walks_every_nested_float(value, finite):
-    from cylscale.cli import _finite
+@pytest.mark.parametrize("fmt, rows, payload", [
+    ("csv", [[1, float("nan"), "x"]], {}),
+    ("json", [[1.0]], {"x": {"y": [0.0, float("inf")]}}),
+    ("json", [[1.0]], {"x": np.float64("-inf")}),
+], ids=["csv-row-nan", "json-payload-inf", "json-np-inf"])
+def test_emit_refuses_what_it_would_write(fmt, rows, payload):
+    from cylscale import NonFiniteResultError
+    from cylscale.cli import _emit
 
-    assert _finite(value) is finite
+    with pytest.raises(NonFiniteResultError, match="stem: a result is not a finite"):
+        _emit(RunConfig({}), "stem", fmt, ("x",), rows, payload)
+
+
+def test_emit_checks_only_the_values_of_the_requested_format():
+    from cylscale.cli import _emit
+
+    files = _emit(RunConfig({}), "stem", "csv", ("x",), [[1.0, "inf"]], {"x": float("nan")})
+    assert files == {"stem.csv": "x\r\n1.0,inf\r\n"}
+    files = _emit(RunConfig({}), "stem", "json", ("x",), [[float("nan")]], {"x": 2.5})
+    assert json.loads(files["stem.json"])["x"] == 2.5
+
+
+def test_emit_reports_an_unserialisable_payload_as_a_type_error():
+    from cylscale.cli import _emit
+
+    with pytest.raises(TypeError):
+        _emit(RunConfig({}), "stem", "json", ("x",), [[1.0]], {"x": object()})
+
+
+def test_suite_derives_its_exponents_once(monkeypatch):
+    from cylscale import exponents as ex
+    from cylscale.cli import cmd_suite
+
+    calls = []
+    derive = ex.derive
+    monkeypatch.setattr(ex, "derive", lambda *a: calls.append(a) or derive(*a))
+    files, code = cmd_suite(RunConfig({}), "both")
+    assert code == EXIT_OK and len(files) == 12
+    assert len(calls) == 1
+
+
+def test_getters_stay_lazy(tmp_path):
+    # exponents reads no ladder key, so a bad ladder does not stop it
+    assert run(tmp_path, "exponents", "ladder.start=-1") == EXIT_OK
+    assert run(tmp_path, "quantities", "ladder.start=-1") == EXIT_INVALID
 
 
 def test_tolerance_entry_is_parsed_and_checked(tmp_path, capsys):

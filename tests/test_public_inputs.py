@@ -246,6 +246,29 @@ def test_cylinder_integral_that_underflows_is_a_radius_error(r):
         cylinder_power_integral(ConstantProfile(), "speed", 3.0, r, 2.0)
 
 
+@pytest.mark.parametrize("c", [1e150, 1e155, 1e160])
+def test_constant_field_whose_squared_norm_overflows_still_integrates(c):
+    """np.linalg.norm squares c3, so past about 1.34e154 the coefficient was inf:
+    |v| and |v|^1.5 were refused as "coefficient inf", and so was the pressure
+    moment, 0 for this field, through c**2."""
+    field = ConstantProfile((c, 0.0, 0.0))
+    assert field.coef == c
+    volume = 4.0 * math.pi / 3.0  # |Q(1)|
+    assert cylinder_power_integral(field, "speed", 1.0, 1.0, 0.0) == pytest.approx(
+        c * volume, rel=1e-15)
+    assert cylinder_power_integral(field, "speed", 1.5, 1.0, 0.0) == pytest.approx(
+        c**1.5 * volume, rel=1e-14)
+    assert cylinder_power_integral(field, "pressure", 1.5, 1.0, 0.0) == 0.0
+    if c > 1e154:  # |v|^2 itself leaves the float range
+        with pytest.raises(NonFiniteResultError, match=re.escape(f"coefficient {c!r} ")):
+            cylinder_power_integral(field, "speed", 2.0, 1.0, 0.0)
+
+
+def test_constant_field_coefficient_keeps_the_norm_bits_where_it_is_finite():
+    for c3 in ((0.3, -1.2, 2.0), (1e150, 3e153, -7.0), (1.0, 1.0, 1.0)):
+        assert ConstantProfile(c3).coef == float(np.linalg.norm(c3))
+
+
 def test_pressure_coefficient_that_overflows_is_a_non_finite_result():
     # c**2 = 1e400 raised a bare OverflowError from the separable pressure rule
     with pytest.raises(NonFiniteResultError, match=r"c\*\*2 at c=1e\+200"):
