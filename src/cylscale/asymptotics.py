@@ -185,6 +185,19 @@ def _fit_slope(ladder, masses) -> float:
     return float(np.polyfit(np.log(b[keep]), np.log(v[keep]), 1)[0])
 
 
+def _checked_ladder(ladder, what: str, ball: float = 1.0) -> list:
+    """``ladder`` as floats once there are two or more, positive, finite and
+    strictly increasing, and each ball * b is a radius _check_radius accepts."""
+    ladder = [float(b) for b in ladder]
+    if len(ladder) < 2 or not all(0 < b < math.inf for b in ladder):
+        raise DomainError(f"need two or more ladder {what}, positive and finite, got {ladder}")
+    if any(b2 <= b1 for b1, b2 in zip(ladder, ladder[1:])):
+        raise DomainError("ladder must be strictly increasing")
+    for b in ladder:
+        _check_radius(None, ball * b)
+    return ladder
+
+
 def growth_envelope(u: Callable, exponent: float,
                     ladder: Sequence[float] = DEFAULT_LADDER,
                     radial: bool = False,
@@ -196,13 +209,7 @@ def growth_envelope(u: Callable, exponent: float,
     rule).  A fitted log-log slope <= SLOPE_SLACK is the numerical witness
     of sup-boundedness on the ladder.
     """
-    ladder = [float(b) for b in ladder]
-    if len(ladder) < 2 or not all(0 < b < math.inf for b in ladder):
-        raise DomainError(f"need two or more ladder values, positive and finite, got {ladder}")
-    if any(b2 <= b1 for b1, b2 in zip(ladder, ladder[1:])):
-        raise DomainError("ladder must be strictly increasing")
-    for b in ladder:
-        _check_radius(None, b)
+    ladder = _checked_ladder(ladder, "values")
     masses = []
     for b in ladder:
         weight = _finite(lambda: b**-exponent,
@@ -359,9 +366,9 @@ def dss_slab_bounds(profile: DiscreteSelfSimilarProfile,
     S0 = profile.S0
     alpha = profile.alpha
     m1 = 2.0 * m - 1.0
-    ladder = [float(R) for R in ladder]
-    if len(ladder) < 2 or not n_tau >= 1:
-        raise DomainError(f"need two or more ladder radii and n_tau >= 1, got {ladder}, {n_tau}")
+    if not n_tau >= 1:
+        raise DomainError(f"need n_tau >= 1, got {n_tau}")
+    ladder = _checked_ladder(ladder, "radii", 2.0)  # the masses are over B(2R)
     r_min = math.exp(2.0 * S0 / (1.0 + alpha))
     if min(ladder) <= r_min:
         raise DomainError(

@@ -32,7 +32,8 @@ class NonFiniteSampleError(CylscaleError, ValueError):
 
 
 class RadiusError(CylscaleError, ValueError):
-    """A requested radius exceeds the field's cylinder."""
+    """A requested radius exceeds the field's cylinder, or its powers leave the
+    float range."""
 
 
 class DivergentIntegralError(CylscaleError, ValueError):

@@ -229,7 +229,8 @@ class ConstantProfile(Profile):
     def coef(self) -> float:
         with np.errstate(over="ignore"):  # norm squares c3, so past 1.34e154 it is inf
             norm = float(np.linalg.norm(self.c3))
-        return norm if norm < math.inf else math.hypot(*self.c3)
+        # and below 1.49e-154 the squares lose bits, where hypot scales c3 instead
+        return norm if math.sqrt(sys.float_info.min) <= norm < math.inf else math.hypot(*self.c3)
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)

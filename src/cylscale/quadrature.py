@@ -2,8 +2,8 @@
 
 Three kinds of rules are used:
 
-* exact per-cell power-law integration, when the integrand's radial/time
-  exponents are declared by the profile;
+* closed-form power-law integrals, when the profile declares the
+  integrand's radial and time exponents;
 * graded 1-d meshes toward the singular locus (geometric ratio 2) with a
   two-point Gauss rule per cell, for singular integrands with undeclared or
   unused exponents;
@@ -45,9 +45,10 @@ GRADED_LEVELS_MAX = 1000
 class QuadratureConfig:
     """Resolution and rule selection for quantity evaluation.
 
-    ``radial_rule`` / ``time_rule``: "exact" uses per-cell power-law weights
-    whenever the profile declares its exponents (falling back to "graded"
-    otherwise); "graded" always integrates numerically on a graded mesh.
+    ``radial_rule`` / ``time_rule``: "exact" integrates a separable profile's
+    power laws in closed form, "graded" on a graded mesh.  Space is otherwise
+    a Cartesian cell sum, as |grad v|^2 always is, and time the graded mesh;
+    a steady profile is sampled once in time.
     ``n_space`` is the Cartesian resolution per axis; ``n_radial`` /
     ``n_time`` set the refinement of the 1-d graded rules (n/16 cells per
     dyadic level); ``graded_levels`` the number of dyadic levels toward the
@@ -130,12 +131,6 @@ def _graded_rule(length: float, n: int, levels: int):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def graded_time_quadrature(f, T: float, cfg: QuadratureConfig) -> float:
-    """int_0^T f(u) du with grading toward u = 0 (f of the *age* u = -t)."""
-    nodes, weights = graded_nodes(T, cfg.n_time, cfg.graded_levels)
-    return float(np.sum(weights * f(nodes)))
 
 
 @lru_cache(maxsize=8)

@@ -37,7 +37,6 @@ from .quadrature import (
     centered_times,
     gauss_legendre,
     graded_nodes,
-    graded_time_quadrature,
     power_radial_integral,
     power_time_integral,
 )
@@ -51,21 +50,6 @@ from .quadrature import (
 # sums under the same keys.
 
 
-def _separable_powers(profile: Profile, kind: str):
-    """(coef, radial_power, time_power) of |v| or |q|, or None."""
-    if not profile.separable:
-        return None
-    if kind == "speed":
-        return profile.coef, profile.radial_power, profile.time_power
-    if kind == "pressure":
-        # a zero pressure_coeff gives zero moments, whatever c**2 does
-        coef = profile.pressure_coeff and _finite(
-            lambda: abs(profile.pressure_coeff) * profile.coef**2,
-            lambda: f"pressure moments overflow: c**2 at c={profile.coef}")
-        return coef, 2 * profile.radial_power, 2 * profile.time_power
-    return None
-
-
 def _ball_integral(profile: Profile, key, r: float, t: float,
                    cfg: QuadratureConfig, cells: Optional[dict] = None) -> float:
     """int_{B(r)} of the moment ``key`` at fixed t for an analytic profile.
@@ -75,10 +59,14 @@ def _ball_integral(profile: Profile, key, r: float, t: float,
     share a ``cells`` dict evaluate |v|, |q| or |grad v|^2 there once.
     """
     kind = key[0]
-    sep = _separable_powers(profile, kind)
-    if sep is not None:
-        p = key[1]
-        coef, a, b = sep
+    if profile.separable and kind != "gradsq":
+        p, coef, a, b = key[1], profile.coef, profile.radial_power, profile.time_power
+        if kind == "pressure":
+            # a zero pressure_coeff gives zero moments, whatever c**2 does
+            coef = profile.pressure_coeff and _finite(
+                lambda: abs(profile.pressure_coeff) * coef**2,
+                lambda: f"pressure moments overflow: c**2 at c={coef}")
+            a, b = 2 * a, 2 * b
         if coef == 0.0:
             return 0.0
         if cfg.radial_rule == "exact":
@@ -145,15 +133,6 @@ def _gradsq_fd(profile: Profile, pts: np.ndarray, t: float, h: float) -> np.ndar
 # GridField reductions
 
 
-def _grid_times_in(field: GridField, T: float):
-    idx = np.flatnonzero(field.times > -T)
-    if not idx.size:
-        raise ResolutionError(
-            f"no grid time samples inside (-{T}, 0); refine n_time or enlarge r"
-        )
-    return idx, field.cylinder.time_depth / field.n_time
-
-
 def _grid_gradsq(field: GridField) -> np.ndarray:
     """|grad v|^2 per cell, shape (Nt, N, N, N), in the bits of np.gradient's
     uniform-step differences summed component by component, axis by axis."""
@@ -211,11 +190,19 @@ def _grid_tables(field: GridField, keys) -> None:
         cache[key] = table
 
 
-def _grid_ball_sums(field: GridField, key, r: float) -> np.ndarray:
-    """Per-time-sample integrals over B(r) of a moment: a column of its table."""
+def _grid_samples(field: GridField, key, r: float):
+    """The integrals over B(r) of a moment at the grid's time samples in
+    (-r^2, 0), read from a column of its table, and the grid's time cell."""
+    T = r**2
+    idx = np.flatnonzero(field.times > -T)
+    if not idx.size:
+        raise ResolutionError(
+            f"no grid time samples inside (-{T}, 0); refine n_time or enlarge r"
+        )
     _grid_tables(field, (key,))
-    k = np.searchsorted(field._ball_cache["shells"][0], r**2, side="left")
-    return field._ball_cache[key][:, k] * field.cell_size**3
+    k = np.searchsorted(field._ball_cache["shells"][0], T, side="left")
+    sums = field._ball_cache[key][:, k] * field.cell_size**3
+    return sums[idx], field.cylinder.time_depth / field.n_time
 
 
 def _check_radius(field, r: float):
@@ -259,8 +246,7 @@ def _mass_sup(field, r: float, cfg: QuadratureConfig,
     """max over time samples in (-r^2, 0) of int_{B(r)} |v|^2 dx."""
     T = r**2
     if isinstance(field, GridField):
-        idx, _ = _grid_times_in(field, T)
-        vals = _grid_ball_sums(field, ("speed", 2.0), r)[idx]
+        vals = _grid_samples(field, ("speed", 2.0), r)[0]
     else:
         if times is None:
             times = centered_times(T, cfg.n_time)
@@ -276,32 +262,33 @@ def _cylinder_integral(field, key, r: float, cfg: QuadratureConfig,
     ``key`` over B(r), or with ``l`` given (key ("speed", p)) of I(t)**(l/p).
     """
     T = r**2
-    q = None if l is None else l / key[1]
+    q = 1.0 if l is None else l / key[1]
     what = lambda: f"the integral over Q(r) of {key} at r={r}, l={l} leaves the float range"
     if isinstance(field, GridField):
-        idx, dt = _grid_times_in(field, T)
-        I = _grid_ball_sums(field, key, r)[idx]
-        value = float(np.sum(I if q is None else I**q))
+        I, dt = _grid_samples(field, key, r)
+        value = float(np.sum(I if l is None else I**q))
         if not math.isfinite(value):
             raise NonFiniteResultError(what())
         return value, dt
-    if q is None:
-        G = lambda t: _ball_integral(field, key, r, t, cfg)
-    else:
-        G = lambda t: _ball_integral(field, key, r, t, cfg) ** q
-    # a separable |v|^p or |q|^p has I(t) ~ (-t)**(b p), |grad v|^2 (-t)**(2 b)
-    # and I(t)**(l/p) (-t)**(b l), b the time power of |v| or |q|
-    sep = _separable_powers(field, "pressure" if key[0] == "pressure" else "speed")
-    power = l if l is not None else key[1] if len(key) > 1 else 2
-    e = None if sep is None else sep[2] * power
-    # int_{-T}^0 G(t) dt: one sample if steady, the exact power law if separable
+    G = lambda t: _ball_integral(field, key, r, t, cfg) ** q
+    # int_{-T}^0 G(t) dt: one sample if steady, the exact power law if separable, where
+    # G(t) ~ (-t)**e, e = b p for |v|^p, 2 b p for |q|^p, 2 b for |grad v|^2 and b l
+    # with l given, b the time power of |v|
     if field.steady:
         integral = lambda: G(-T / 2) * T
-    elif e is not None and cfg.time_rule == "exact":
-        integral = lambda: G(-T / 2) / (T / 2) ** e * power_time_integral(e, T)
+    elif field.separable and cfg.time_rule == "exact":
+        b = field.time_power * (1 if key[0] == "speed" else 2)
+        e = b * (l if l is not None else key[1] if len(key) > 1 else 1)
+
+        def integral():  # G first: its overflow outranks a divergent time power
+            g, time, factor = G(-T / 2), power_time_integral(e, T), (T / 2) ** e
+            if factor == 0.0:
+                raise RadiusError(f"radius {r} is out of range: (r**2/2)**{e} underflows")
+            return g / factor * time
     else:
-        integral = lambda: graded_time_quadrature(
-            lambda u: np.array([G(-float(v)) for v in u]), T, cfg)
+        def integral():
+            nodes, weights = graded_nodes(T, cfg.n_time, cfg.graded_levels)
+            return float(np.sum(weights * np.array([G(-float(u)) for u in nodes])))
     value = _finite(integral, what)
     if value < sys.float_info.min and T * r**3 < sys.float_info.min:  # |Q(r)| underflows too
         raise RadiusError(f"radius {r} is too small: the integral over Q(r) underflows")
@@ -328,6 +315,8 @@ def cylinder_power_integral(field, kind: str, p: float, r: float, weight: float,
     """r**(-weight) * int over Q(r) of |field|^p, kind "speed" or "pressure"."""
     if kind not in ("speed", "pressure"):
         raise DomainError(f"kind must be 'speed' or 'pressure', got {kind!r}")
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p}")
     _check_radius(field, r)
     return _weighted(r, weight, _cylinder_integral(field, (kind, p), r, cfg))
 
@@ -644,7 +633,8 @@ def local_energy_residual(profile, testfn, tau0: float, variant: str,
             raise SupportError("test function support contains the singular point x = 0")
 
     n = cfg.n_space
-    pts, wS, wgradS, wlapS = testfn._space_rule(n)
+    memo = getattr(testfn, "_space_rule", None)  # a GaussianBump keeps its rules
+    pts, wS, wgradS, wlapS = memo(n) if memo else _weighted_space_rule(testfn, n)
     t_hi = min(thi, tau0)
     if t_hi <= tlo:
         tnodes, twts = np.array([]), np.array([])

@@ -187,6 +187,17 @@ CASES = {
         lambda: sup_weighted_mass(ConstantProfile((1e100, 0.0, 0.0)), 0.01, 60.0),
     "power-weight-product-overflow":
         lambda: cylinder_power_integral(PowerLawProfile(c=1e100), "speed", 2.0, 0.01, 60.0),
+    # (r**2/2)**e underflowed to 0 before the divergent time power was refused, and
+    # G / 0.0 raised a bare ZeroDivisionError; so did an infinite p
+    "power-time-exponent-divergent": lambda: cylinder_power_integral(
+        PowerLawProfile(c=1.0, alpha_p=0.0, gamma_p=1.1), "speed", 1e4, 2.0, 0.0),
+    "pressure-time-exponent-divergent": lambda: cylinder_power_integral(
+        PowerLawProfile(c=5e-324), "pressure", 1e154, 2.0, 0.0),
+    "power-p-minus-inf": lambda: cylinder_power_integral(P, "speed", -INF, 1.0, 0.0),
+    "power-p-nan": lambda: cylinder_power_integral(P, "speed", NAN, 1.0, 0.0),
+    # a negative p makes the time exponent large and positive, where the weight underflows
+    "pressure-time-weight-underflow": lambda: cylinder_power_integral(
+        PowerLawProfile(c=1.0, alpha_p=0.0, gamma_p=1.1), "pressure", -4.0, 1e-40, 0.0),
 }
 
 
@@ -262,6 +273,15 @@ def test_constant_field_whose_squared_norm_overflows_still_integrates(c):
     if c > 1e154:  # |v|^2 itself leaves the float range
         with pytest.raises(NonFiniteResultError, match=re.escape(f"coefficient {c!r} ")):
             cylinder_power_integral(field, "speed", 2.0, 1.0, 0.0)
+
+
+def test_tiny_constant_field_coefficient_is_the_scaled_norm():
+    """The norm squares c3: 1e-200 underflowed to a coefficient 0.0, so the
+    integral came back 0.0, and (1e-160, 1e-160, 0) lost its low bits."""
+    assert ConstantProfile((1e-200, 0.0, 0.0)).coef == 1e-200
+    assert cylinder_power_integral(ConstantProfile((1e-200, 0.0, 0.0)), "speed", 1.0, 1.0,
+                                   0.0) == pytest.approx(4.0 * math.pi / 3.0 * 1e-200, rel=1e-15)
+    assert ConstantProfile((1e-160, 1e-160, 0.0)).coef == math.hypot(1e-160, 1e-160)
 
 
 def test_constant_field_coefficient_keeps_the_norm_bits_where_it_is_finite():
@@ -415,6 +435,19 @@ def test_dss_slab_bounds_counts(ladder, n_tau):
         dss_slab_bounds(dss, ladder, n_tau=n_tau)
 
 
+@pytest.mark.parametrize("ladder, error", [
+    ([4.0, NAN], DomainError), ([4.0, 1e154], RadiusError), ([4.0, 1e308], RadiusError),
+    ([4.0, 5e102], RadiusError), ([8.0, 4.0], DomainError), ([4.0, 4.0], DomainError),
+])
+def test_dss_slab_bounds_ladder_is_checked_as_growth_envelope_checks_it(ladder, error):
+    """[4, nan] passed all four rows with slope -inf, 1e154 raised a bare
+    OverflowError, 1e308 ended in NaN with a RuntimeWarning, and a falling or
+    repeated ladder was fitted; 5e102 has a finite cube, B(2R) has none."""
+    dss = steady_to_discrete(SelfSimilarProfile(alpha=1.5, U=_never), 0.4)
+    with pytest.raises(error):
+        dss_slab_bounds(dss, ladder)
+
+
 @pytest.mark.parametrize("ladder", [[], [4.0]])
 def test_ladder_of_fewer_than_two_radii_is_refused(ladder):
     """With fewer than two radii the fitted slope was -inf: growth_envelope called
@@ -515,6 +548,10 @@ SCALAR_API = {
         SteadyShearProfile(amp, k), ScalingSpec("euler", lam, alpha)), (1.0, 1.0, 0.5, 1.2)),
     "m_quantity": (lambda c, a, g, R, s, l, m0: m_quantity(
         PowerLawProfile(c, a, g), R, s, l, m0), (1.0, 0.5, 1.1, 1.0, 2.8, 2.8, 0.9)),
+    **{f"cylinder_power_integral_{kind}_alpha_{a}": (
+        lambda c, r, p, weight, kind=kind, a=a: cylinder_power_integral(
+            PowerLawProfile(c, a, 1.1), kind, p, r, weight), (1.0, 2.0, 2.0, 2.0))
+       for kind in ("speed", "pressure") for a in (0.0, 0.5)},
 }
 
 
